@@ -54,7 +54,6 @@ from .root_system import (
     dynkin_label,
     is_finite_type,
     is_minuscule,
-    project_to_kperp,
     reflect,
     reflect_curve,
     simple_roots,
@@ -94,8 +93,8 @@ __all__ = [
     "initial_form_at_point", "intersect", "is_finite_type",
     "is_invariant", "is_minuscule", "minimal_class", "minimal_parameters",
     "mult_along_curve", "mult_at_point", "mult_lower_bound",
-    "nagata_substitute", "pairing", "project_class", "project_to_kperp",
-    "reflect", "reflect_curve", "render_report", "run_all",
+    "nagata_substitute", "pairing", "project_class", "reflect",
+    "reflect_curve", "render_report", "run_all",
     "run_criterion", "section_of", "simple_roots", "torus_weight",
     "weight_coords", "weights_of_irrep", "weyl_orbit",
     "weyl_orbit_curves", "weyl_orbit_weights",

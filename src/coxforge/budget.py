@@ -16,7 +16,7 @@ ENV_VAR = "COXFORGE_CAP"
 
 def effective_cap(explicit: int | None = None, default: int = DEFAULT_CAP) -> int:
     if explicit is not None:
-        if not isinstance(explicit, int) or explicit < 1:
+        if not isinstance(explicit, int) or isinstance(explicit, bool) or explicit < 1:
             raise PreconditionError("cap", f"must be a positive integer, got {explicit!r}")
         return explicit
     raw = os.environ.get(ENV_VAR)

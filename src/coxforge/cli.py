@@ -107,8 +107,8 @@ def _divisor(args, ctx: LatticeContext) -> DivisorClass:
 
 
 def _blowup_divisor(args) -> tuple:
-    ctx = LatticeContext(2, args.r - args.n - 1, args.n + 1)
-    return DivisorClass(ctx, (args.d,), args.m), BlowupContext(args.n, args.r)
+    bc = BlowupContext(args.n, args.r)
+    return DivisorClass(bc.lattice_context(), (args.d,), args.m), bc
 
 
 def _config(args) -> PointConfig:
@@ -431,3 +431,7 @@ def main(argv=None) -> int:
 
 def entry():
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

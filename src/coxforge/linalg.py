@@ -1,139 +1,135 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals on one fraction-free core.
 
-Rank runs fraction-free (Bareiss pivoting on integer rows, denominators
-cleared first) so the hot counting paths never touch Fraction arithmetic;
-kernel bases, solves and inverses go through a plain reduced row echelon
-form over Fraction.  Everything is deterministic: pivots are always the
-first nonzero entry in column order, kernel vectors are the canonical ones
-with a 1 in each free column.
+`RowEchelon` takes rows one at a time.  A row's denominators are cleared on
+entry; the row is then reduced by the stored rows, in the order they were
+stored, with the Bareiss step
+
+    x <- (p_i * x - x[c_i] * row_i) // p_{i-1},    p_0 = 1,
+
+where c_i is the pivot column of the i-th stored row and p_i its entry
+there.  After i steps x[j] is the determinant of the cleared input rows of
+the first i stored rows and of x, on the columns c_1, .., c_i, j in that
+order; p_i is the same minor without x and j.  The division is exact by
+Sylvester's identity, which does not depend on the order of the columns,
+so a later row may take a pivot column left of earlier pivots.  A row that
+reduces to zero depends on the stored rows and is dropped; otherwise its
+first nonzero column becomes its pivot.
+
+A stored row is zero left of its pivot and in every earlier pivot column.
+Sorted by pivot, the stored rows therefore form a row echelon form, and the
+pivot columns are the first linearly independent columns whatever order the
+rows came in.  Kernels are read off by back-substitution over Fraction: one
+vector per free column, with 1 there and 0 in the other free columns, which
+is the canonical basis of the reduced row echelon form.
+
+Rank, kernels, inverses and the span tracking of the generation test all run
+on this one core.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .errors import SingularMatrixError
 
 
-def clear_denominators(row) -> list:
-    """Scale a rational row to integers (row scaling preserves rank/kernel)."""
-    mult = lcm(*(Fraction(v).denominator for v in row)) if row else 1
-    return [int(v * mult) for v in map(Fraction, row)]
+class RowEchelon:
+    """Fraction-free row echelon form of the rows added so far.
 
+    >>> ech = RowEchelon(3)
+    >>> [ech.add(row) for row in ([0, 1, 2], [0, 2, 4], [1, 0, 1])]
+    [True, False, True]
+    >>> ech.rank, ech.kernel()
+    (2, [(Fraction(-1, 1), Fraction(-2, 1), Fraction(1, 1))])
+    """
 
-def rank_int(rows) -> int:
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination."""
-    m = [list(r) for r in rows]
-    if not m or not m[0]:
-        return 0
-    nr, nc = len(m), len(m[0])
-    prev = 1
-    rank = 0
-    row = 0
-    for col in range(nc):
-        piv = next((r for r in range(row, nr) if m[r][col]), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        for r in range(row + 1, nr):
-            for c in range(col + 1, nc):
-                # one-step division by the previous pivot is exact (Bareiss)
-                m[r][c] = (m[row][col] * m[r][c] - m[r][col] * m[row][c]) // prev
-            m[r][col] = 0
-        prev = m[row][col]
-        rank += 1
-        row += 1
-        if row == nr:
-            break
-    return rank
+    def __init__(self, width: int):
+        self.width = width
+        self.rows = []  # (pivot column, integer row), in the order stored
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def add(self, row) -> bool:
+        """Reduce `row` (integers or Fractions) by the stored rows; store it
+        and return True when it is independent of them."""
+        mult = lcm(*(v.denominator for v in row))
+        x = [v.numerator * (mult // v.denominator) for v in row]
+        prev = 1
+        for c, stored in self.rows:
+            p, f = stored[c], x[c]
+            if f:
+                x = [(p * a - f * b) // prev for a, b in zip(x, stored)]
+            elif p != prev:
+                x = [p * a // prev for a in x]
+            prev = p
+        pivot = next((j for j, v in enumerate(x) if v), None)
+        if pivot is None:
+            return False
+        self.rows.append((pivot, x))
+        return True
+
+    def pivots(self) -> list:
+        return sorted(c for c, _ in self.rows)
+
+    def kernel(self) -> list:
+        """Canonical kernel basis as Fraction tuples, ordered by free column."""
+        by_pivot = sorted(self.rows, key=lambda item: -item[0])
+        pivots = set(self.pivots())
+        basis = []
+        for free in range(self.width):
+            if free in pivots:
+                continue
+            vec = [Fraction(0)] * self.width
+            vec[free] = Fraction(1)
+            solved = []
+            for c, row in by_pivot:
+                vec[c] = Fraction(-row[free] - sum(row[j] * vec[j] for j in solved), row[c])
+                solved.append(c)
+            basis.append(tuple(vec))
+        return basis
 
 
 def rank(rows) -> int:
-    return rank_int([clear_denominators(r) for r in rows])
+    """Rank of a matrix of integers or Fractions.
 
-
-def rref(rows, ncols: int | None = None):
-    """Reduced row echelon form.
-
-    Returns (reduced_rows, pivot_columns); the input is not modified.
+    >>> rank([[1, 2], [2, 4], [0, Fraction(1, 3)]])
+    2
     """
-    m = [[Fraction(v) for v in r] for r in rows]
-    if ncols is None:
-        ncols = len(m[0]) if m else 0
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        piv = next((r for r in range(row, len(m)) if m[r][col]), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = 1 / m[row][col]
-        m[row] = [v * inv for v in m[row]]
-        for r in range(len(m)):
-            if r != row and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[row])]
-        pivots.append(col)
-        row += 1
-        if row == len(m):
+    ncols = len(rows[0]) if rows else 0
+    ech = RowEchelon(ncols)
+    for row in rows:
+        if ech.rank == ncols:
             break
-    return m[:row], pivots
+        ech.add(row)
+    return ech.rank
 
 
 def nullspace(rows, ncols: int):
     """Canonical kernel basis of the linear map given by `rows` (ncols wide).
 
-    One vector per free column, carrying 1 there and the negated echelon
-    entries in the pivot columns; ordered by free column index.
+    One vector per free column, carrying 1 there and the negated reduced
+    echelon entries in the pivot columns; ordered by free column index.
     """
-    reduced, pivots = rref(rows, ncols)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for rix, piv in enumerate(pivots):
-            vec[piv] = -reduced[rix][free]
-        basis.append(tuple(vec))
-    return basis
-
-
-def solve(a, b):
-    """Solve the square system a x = b exactly; raises if a is singular."""
-    n = len(a)
-    aug = [[Fraction(v) for v in row] + [Fraction(b[i])] for i, row in enumerate(a)]
-    reduced, pivots = rref(aug, n)
-    if len(pivots) != n:
-        raise SingularMatrixError("matrix is singular")
-    return tuple(reduced[i][n] for i in range(n))
+    ech = RowEchelon(ncols)
+    for row in rows:
+        ech.add(row)
+    return ech.kernel()
 
 
 def invert(a):
-    """Exact inverse of a square matrix as a list of Fraction rows."""
+    """Exact inverse of a square matrix as a list of Fraction rows.
+
+    The kernel of [A | -I] is {(x, y) : A x = y}; its canonical vector for
+    the free column n + j is (column j of A^-1, e_j).  A is singular exactly
+    when a pivot falls among the last n columns.
+    """
     n = len(a)
-    aug = [[Fraction(v) for v in row]
-           + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(a)]
-    reduced, pivots = rref(aug, n)
-    if len(pivots) != n:
+    ech = RowEchelon(2 * n)
+    for i, row in enumerate(a):
+        ech.add(list(row) + [-1 if j == i else 0 for j in range(n)])
+    if ech.pivots() != list(range(n)):
         raise SingularMatrixError("matrix is singular")
-    return [row[n:] for row in reduced]
-
-
-def primitive_integer_vector(vec) -> tuple:
-    """Scale a rational vector to coprime integers with positive leading entry."""
-    fracs = [Fraction(v) for v in vec]
-    mult = lcm(*(f.denominator for f in fracs)) if fracs else 1
-    ints = [int(f * mult) for f in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    lead = next((v for v in ints if v), 0)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)
+    return [list(row) for row in zip(*(vec[:n] for vec in ech.kernel()))]

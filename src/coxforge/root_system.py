@@ -35,7 +35,6 @@ from .picard_lattice import (
     canonical_class,
     intersect,
     pairing,
-    pairing_coords,
 )
 
 
@@ -198,26 +197,6 @@ def weight_coords(d: DivisorClass) -> tuple:
     """
     rs = simple_roots(d.ctx)
     return tuple(pairing(d, alpha) for alpha in rs.simple_roots)
-
-
-def project_to_kperp(d: DivisorClass) -> tuple:
-    """Weight coordinates of the orthogonal projection of d away from K.
-
-    Computes d - (d,K)/(K,K) K with rational coefficients and reads off its
-    pairings with the simple roots; since the roots kill K this agrees with
-    weight_coords(d), which is what the tests pin down.
-    """
-    ctx = d.ctx
-    k = canonical_class(ctx)
-    kk = pairing(k, k)
-    if kk == 0:
-        raise PreconditionError("ctx", "pairing(K, K) = 0, projection undefined")
-    t = Fraction(pairing(d, k), kk)
-    h = tuple(Fraction(x) - t * y for x, y in zip(d.h, k.h))
-    m = tuple(Fraction(x) - t * y for x, y in zip(d.m, k.m))
-    rs = simple_roots(ctx)
-    coords = [pairing_coords(ctx, h, m, a.h, a.m) for a in rs.simple_roots]
-    return tuple(int(v) for v in coords)
 
 
 def _cartan_of(rs) -> tuple:

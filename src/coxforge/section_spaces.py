@@ -23,7 +23,7 @@ from .blowup_divisors import BlowupContext, enumerate_minimal
 from .budget import effective_cap
 from .errors import CapExceeded, PreconditionError
 from .jsonutil import decode_fraction, decode_int, encode_fraction
-from .linalg import nullspace, primitive_integer_vector, rank
+from .linalg import RowEchelon, nullspace, rank
 from .multipoly import MultiPoly
 from .picard_lattice import DivisorClass, LatticeContext, hdeg
 
@@ -276,8 +276,8 @@ class GenerationReport:
 @lru_cache(maxsize=None)
 def _section_table(d: DivisorClass, cfg: PointConfig) -> dict:
     # the section scaled to integer coefficients, keyed by full exponent
-    # tuples; spans are scale-invariant, and integer products keep the
-    # rank tracking fraction-free
+    # tuples; spans are scale-invariant, and integer products are cheaper
+    # than Fraction ones
     f = section_of(d, cfg)
     scale = lcm(*(c.denominator for c in f.terms.values()))
     out = {}
@@ -296,30 +296,6 @@ def _table_mul(t1: dict, t2: dict) -> dict:
             key = tuple(x + y for x, y in zip(e1, e2))
             out[key] = out.get(key, 0) + c1 * c2
     return out
-
-
-class _SpanTracker:
-    """Incremental exact rank of a growing set of integer vectors."""
-
-    def __init__(self, width: int):
-        self.width = width
-        self.rows = []  # (pivot, primitive integer row)
-
-    def add(self, vec) -> bool:
-        vec = list(vec)
-        for pivot, row in self.rows:
-            if vec[pivot]:
-                a, b = row[pivot], vec[pivot]
-                vec = [a * x - b * y for x, y in zip(vec, row)]
-        pivot = next((i for i, v in enumerate(vec) if v), None)
-        if pivot is None:
-            return False
-        self.rows.append((pivot, list(primitive_integer_vector(vec))))
-        return True
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
 
 
 def generation_test(d: DivisorClass, cfg: PointConfig,
@@ -347,7 +323,7 @@ def generation_test(d: DivisorClass, cfg: PointConfig,
     gens = sorted(enumerate_minimal(cfg.blowup_context()),
                   key=lambda g: (-hdeg(g), g.sort_key()))
     index = {g: i for i, g in enumerate(cols)}
-    tracker = _SpanTracker(len(cols))
+    span = RowEchelon(len(cols))
     nodes = 0
 
     def dfs(start: int, deg_left: int, cover: tuple, parts: tuple) -> bool:
@@ -364,8 +340,8 @@ def generation_test(d: DivisorClass, cfg: PointConfig,
             vec = [0] * len(cols)
             for e, c in product.items():
                 vec[index[e]] = c
-            tracker.add(vec)
-            return tracker.dim == dim
+            span.add(vec)
+            return span.rank == dim
         for j in range(start, len(gens)):
             g = gens[j]
             if hdeg(g) > deg_left:
@@ -377,4 +353,4 @@ def generation_test(d: DivisorClass, cfg: PointConfig,
 
     if dim > 0:
         dfs(0, deg, (0,) * cfg.r, ())
-    return GenerationReport(dim, tracker.dim, tracker.dim == dim)
+    return GenerationReport(dim, span.rank, span.rank == dim)

@@ -1,6 +1,10 @@
 """End-to-end CLI runs through main(argv), checking payloads and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -143,6 +147,10 @@ def test_precondition_exit_1_with_payload(capsys):
                        "--d", "1", "--m", "0,0,0,0,0")
     assert code == 1
     assert json.loads(err)["error"]["type"] == "precondition"
+    code, _, err = run(capsys, "h0", "--n", "3", "--r", "4",
+                       "--d", "1", "--m", "0,0,0,0")
+    assert code == 1
+    assert json.loads(err)["error"]["field"] == "r"
 
 
 def test_cap_exit_2_with_payload(capsys, monkeypatch):
@@ -155,3 +163,13 @@ def test_cap_exit_2_with_payload(capsys, monkeypatch):
     code, _, err = run(capsys, "orbit", "--ctx", "2,2,3")
     assert code == 2
     assert json.loads(err)["error"]["cap"] == 5
+
+
+def test_module_entry_point():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "coxforge.cli", "minuscule", "--ctx", "2,2,3"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout) == {"minuscule": True, "orbit": 16, "weights": 16}

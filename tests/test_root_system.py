@@ -20,7 +20,6 @@ from coxforge.root_system import (
     dynkin_label,
     is_finite_type,
     is_minuscule,
-    project_to_kperp,
     reflect,
     reflect_curve,
     simple_roots,
@@ -169,6 +168,14 @@ def test_orbit_cap_raises():
         weyl_orbit(DivisorClass.exceptional(ctx, 6), simple_roots(ctx), cap=5)
 
 
+def test_orbit_cap_must_be_a_positive_integer():
+    ctx = CTX233
+    for cap in (True, False, 0, 2.5):
+        with pytest.raises(PreconditionError) as err:
+            weyl_orbit(DivisorClass.exceptional(ctx, 6), simple_roots(ctx), cap=cap)
+        assert err.value.field == "cap"
+
+
 def test_orbit_of_curves_counts_match_divisor_orbit():
     ctx = CTX223
     rs = simple_roots(ctx)
@@ -185,7 +192,6 @@ def test_weight_coords_invariant_under_canonical_shift():
                              tuple(rng.randint(-3, 3) for _ in range(ctx.r)))
             t = rng.randint(-2, 2)
             assert weight_coords(d) == weight_coords(d + t * k)
-            assert project_to_kperp(d) == weight_coords(d)
 
 
 def test_weights_of_rank_one_string():
