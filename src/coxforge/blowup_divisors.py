@@ -227,7 +227,7 @@ class MembershipResult:
         return self.member
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _nef_orbits(ctx: LatticeContext, cap: int):
     rs = simple_roots(ctx)
     if rs.dynkin_label == "INFINITE":

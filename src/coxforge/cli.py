@@ -197,6 +197,12 @@ def _cmd_decompose(args) -> int:
             raise PreconditionError("ctx", "give either a context triple or n")
         if args.d is None:
             raise PreconditionError("d", "the degree --d is required with --n")
+        # table filling needs no general position, so r = n + 2 points is allowed here
+        if args.n < 2:
+            raise PreconditionError("n", f"need n >= 2, got {args.n}")
+        if len(args.m) < args.n + 2:
+            raise PreconditionError(
+                "r", f"need r >= n + 2 = {args.n + 2} points, got {len(args.m)} multiplicities")
         ctx = LatticeContext(2, len(args.m) - args.n - 1, args.n + 1)
         d = DivisorClass(ctx, (args.d,), args.m)
     if args.degree_one:
@@ -310,6 +316,14 @@ def _cmd_invariant(args) -> int:
 def _cmd_verify(args) -> int:
     report = run_all(profile=args.profile, seed=args.seed)
     _emit(args, report.to_json(), render_report(report))
+    # wall-clock times go to stderr so that stdout stays byte-deterministic
+    per_criterion = {}
+    for res in report.results:
+        per_criterion[res.criterion] = per_criterion.get(res.criterion, 0.0) + res.seconds
+    print(json.dumps({"seconds": round(report.seconds, 3),
+                      "seconds_per_criterion": {str(k): round(v, 3)
+                                                for k, v in per_criterion.items()}},
+                     separators=(",", ":")), file=sys.stderr)
     return 0 if report.passed else 1
 
 

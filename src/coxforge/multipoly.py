@@ -1,10 +1,15 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
 Terms are kept in a dict mapping exponent tuples to Fraction coefficients.
-A polynomial is normalized on construction: zero coefficients are dropped
-and the variable tuple is pruned to the variables that actually occur, in
-the canonical order below, so structurally equal polynomials compare equal
-no matter how they were assembled.
+Every polynomial is normalized: zero coefficients are dropped and the
+variable tuple is pruned to the variables that actually occur, in the
+canonical order below, so structurally equal polynomials compare equal no
+matter how they were assembled.  The public constructor validates and
+normalizes its input (coefficients coerced to Fraction, exponent tuples
+checked, variables sorted).  Internal operations build their results over
+operands that are already normalized, so they keep the same invariants
+through `MultiPoly._trusted`, which only drops zeros and unused variables,
+and sums of many polynomials go through one dict (`MultiPoly.sum`).
 
 Canonical variable order: homogeneous coordinates z_0 > z_1 > .., then
 chart coordinates u_1 > .., the curve parameter s, then x_1 > .., y_1 > ..,
@@ -16,6 +21,8 @@ z_0 z_2 - z_1^2 is z_0 z_2.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from operator import add
 
 from .errors import PreconditionError
 from .jsonutil import decode_fraction, encode_fraction
@@ -23,6 +30,7 @@ from .jsonutil import decode_fraction, encode_fraction
 _FAMILY_ORDER = {"z": 0, "u": 1, "s": 2, "x": 3, "y": 4, "t": 5}
 
 
+@lru_cache(maxsize=4096)
 def var_key(name: str):
     head, _, tail = name.partition("_")
     fam = _FAMILY_ORDER.get(head, len(_FAMILY_ORDER))
@@ -36,6 +44,30 @@ def _coerce_coef(v) -> Fraction:
     if isinstance(v, int) and not isinstance(v, bool):
         return Fraction(v)
     raise PreconditionError("coef", f"coefficients must be rational, got {v!r}")
+
+
+def _check_exponents(exps: tuple):
+    if any(e < 0 or not isinstance(e, int) for e in exps):
+        raise PreconditionError("terms", f"exponents must be nonnegative integers: {exps}")
+
+
+def _union(polys) -> tuple:
+    """The variables of all `polys`, in canonical order."""
+    return tuple(sorted(set().union(*(p.vars for p in polys)), key=var_key))
+
+
+def _lift(poly: "MultiPoly", variables: tuple) -> dict:
+    """The terms of `poly` keyed over `variables`, a canonical superset of its own."""
+    if poly.vars == variables:
+        return poly.terms
+    slots = [variables.index(name) for name in poly.vars]
+    out = {}
+    for exps, coef in poly.terms.items():
+        key = [0] * len(variables)
+        for slot, e in zip(slots, exps):
+            key[slot] = e
+        out[tuple(key)] = coef
+    return out
 
 
 class MultiPoly:
@@ -53,8 +85,7 @@ class MultiPoly:
             exps = tuple(exps)
             if len(exps) != len(variables):
                 raise PreconditionError("terms", "exponent tuple length != variable count")
-            if any(e < 0 or not isinstance(e, int) for e in exps):
-                raise PreconditionError("terms", f"exponents must be nonnegative integers: {exps}")
+            _check_exponents(exps)
             raw[exps] = raw.get(exps, Fraction(0)) + coef
         raw = {e: c for e, c in raw.items() if c}
         used = sorted({i for e in raw for i, p in enumerate(e) if p},
@@ -67,6 +98,21 @@ class MultiPoly:
         object.__setattr__(self, "vars", pruned_vars)
         object.__setattr__(self, "terms", {e: c for e, c in pruned.items() if c})
 
+    @classmethod
+    def _trusted(cls, variables: tuple, terms: dict) -> "MultiPoly":
+        """Normalize `terms`, which must already be keyed over `variables` in
+        canonical order and hold Fraction coefficients: zero coefficients and
+        unused variables are dropped, nothing is re-validated or re-sorted."""
+        terms = {e: c for e, c in terms.items() if c}
+        used = [i for i, column in enumerate(zip(*terms)) if any(column)]
+        if len(used) < len(variables):
+            variables = tuple(variables[i] for i in used)
+            terms = {tuple(e[i] for i in used): c for e, c in terms.items()}
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "vars", variables)
+        object.__setattr__(poly, "terms", terms)
+        return poly
+
     def __setattr__(self, *_):
         raise AttributeError("MultiPoly is immutable")
 
@@ -74,11 +120,11 @@ class MultiPoly:
 
     @classmethod
     def zero(cls) -> "MultiPoly":
-        return cls((), {})
+        return cls._trusted((), {})
 
     @classmethod
     def const(cls, v) -> "MultiPoly":
-        return cls((), {(): _coerce_coef(v)})
+        return cls._trusted((), {(): _coerce_coef(v)})
 
     @classmethod
     def variable(cls, name: str) -> "MultiPoly":
@@ -91,20 +137,30 @@ class MultiPoly:
 
     # -- ring structure ----------------------------------------------------
 
+    @classmethod
+    def sum(cls, polys) -> "MultiPoly":
+        """The sum of an iterable of polynomials, accumulated in one dict and
+        normalized once; repeated `+` would rebuild the partial sum per term."""
+        polys = list(polys)
+        return cls._sum(_union(polys), polys)
+
+    @classmethod
+    def _sum(cls, variables: tuple, polys) -> "MultiPoly":
+        # `variables` (canonical order) must cover every operand's variables
+        out = {}
+        for poly in polys:
+            for exps, coef in _lift(poly, variables).items():
+                if exps in out:
+                    out[exps] += coef
+                else:
+                    out[exps] = coef
+        return cls._trusted(variables, out)
+
     def _aligned(self, other: "MultiPoly"):
-        variables = tuple(sorted(set(self.vars) | set(other.vars), key=var_key))
-        index = {n: i for i, n in enumerate(variables)}
-
-        def remap(poly):
-            out = {}
-            for exps, coef in poly.terms.items():
-                key = [0] * len(variables)
-                for name, e in zip(poly.vars, exps):
-                    key[index[name]] = e
-                out[tuple(key)] = coef
-            return out
-
-        return variables, remap(self), remap(other)
+        if self.vars == other.vars:
+            return self.vars, self.terms, other.terms
+        variables = _union((self, other))
+        return variables, _lift(self, variables), _lift(other, variables)
 
     @staticmethod
     def _coerce(other):
@@ -118,15 +174,12 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        variables, left, right = self._aligned(other)
-        for exps, coef in right.items():
-            left[exps] = left.get(exps, Fraction(0)) + coef
-        return MultiPoly(variables, left)
+        return MultiPoly.sum((self, other))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._trusted(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -148,9 +201,12 @@ class MultiPoly:
         out = {}
         for e1, c1 in left.items():
             for e2, c2 in right.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return MultiPoly(variables, out)
+                key = tuple(map(add, e1, e2))
+                if key in out:
+                    out[key] += c1 * c2
+                else:
+                    out[key] = c1 * c2
+        return MultiPoly._trusted(variables, out)
 
     __rmul__ = __mul__
 
@@ -188,13 +244,10 @@ class MultiPoly:
         if name not in self.vars:
             return MultiPoly.zero()
         i = self.vars.index(name)
-        out = {}
-        for exps, coef in self.terms.items():
-            if exps[i] == 0:
-                continue
-            key = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
-            out[key] = out.get(key, Fraction(0)) + coef * exps[i]
-        return MultiPoly(self.vars, out)
+        # lowering exponent i is injective on the terms it keeps
+        out = {exps[:i] + (exps[i] - 1,) + exps[i + 1:]: coef * exps[i]
+               for exps, coef in self.terms.items() if exps[i]}
+        return MultiPoly._trusted(self.vars, out)
 
     def substitute(self, mapping: dict) -> "MultiPoly":
         """Replace variables by polynomials or constants, expanding exactly.
@@ -207,16 +260,18 @@ class MultiPoly:
             if img is None:
                 raise PreconditionError("mapping", f"cannot substitute {mapping[name]!r}")
             images[name] = img
-        total = MultiPoly.zero()
-        for exps, coef in self.terms.items():
-            prod = MultiPoly.const(coef)
-            for name, e in zip(self.vars, exps):
-                if e == 0:
-                    continue
-                base = images.get(name, MultiPoly.variable(name))
-                prod = prod * base ** e
-            total = total + prod
-        return total
+        bases = [images[name] if name in images else MultiPoly.variable(name)
+                 for name in self.vars]
+
+        def products():
+            for exps, coef in self.terms.items():
+                prod = MultiPoly.const(coef)
+                for base, e in zip(bases, exps):
+                    if e:
+                        prod = prod * base ** e
+                yield prod
+
+        return MultiPoly._sum(_union(bases), products())
 
     def evaluate(self, values: dict) -> Fraction:
         out = Fraction(0)
@@ -264,15 +319,26 @@ class MultiPoly:
     def from_json(cls, obj) -> "MultiPoly":
         if not isinstance(obj, list):
             raise PreconditionError("poly", f"expected a term list, got {obj!r}")
-        total = cls.zero()
+        parsed = []
         for term in obj:
             try:
                 coef = decode_fraction(term["coef"])
                 exps = term["exps"]
             except (KeyError, TypeError):
                 raise PreconditionError("poly", f"malformed term {term!r}") from None
-            total = total + cls.monomial({n: int(e) for n, e in exps.items()}, coef)
-        return total
+            try:
+                exps = {n: int(e) for n, e in exps.items()}
+            except (AttributeError, TypeError, ValueError):
+                raise PreconditionError("poly", f"malformed term {term!r}") from None
+            if coef:
+                _check_exponents(tuple(exps.values()))
+            parsed.append((exps, coef))
+        names = tuple({n: None for exps, _ in parsed for n in exps})
+        terms = {}
+        for exps, coef in parsed:
+            key = tuple(exps.get(n, 0) for n in names)
+            terms[key] = terms[key] + coef if key in terms else coef
+        return cls(names, terms)
 
     def __repr__(self):
         return f"MultiPoly({self})"

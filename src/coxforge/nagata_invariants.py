@@ -91,11 +91,17 @@ def build_F(index_set, np: NagataParams) -> MultiPoly:
         raise PreconditionError("I", f"indices must lie in 1..{np.r}")
     k = (len(idx) - 1) // 2
 
-    def entry(row: int, i: int) -> MultiPoly:
-        a = np.params[i - 1]
-        if row <= k:
-            return MultiPoly.monomial({f"x_{i}": 1}, a ** row)
-        return MultiPoly.monomial({f"y_{i}": 1}, a ** (row - k - 1))
+    entries = {}
+
+    def entry(row: int, i: int, sign: int) -> MultiPoly:
+        key = (row, i, sign)
+        if key not in entries:
+            a = np.params[i - 1]
+            if row <= k:
+                entries[key] = MultiPoly.monomial({f"x_{i}": 1}, sign * a ** row)
+            else:
+                entries[key] = MultiPoly.monomial({f"y_{i}": 1}, sign * a ** (row - k - 1))
+        return entries[key]
 
     memo = {}
 
@@ -104,12 +110,10 @@ def build_F(index_set, np: NagataParams) -> MultiPoly:
             return MultiPoly.const(1)
         key = (row, cols)
         if key not in memo:
-            total = MultiPoly.zero()
-            for pos, i in enumerate(cols):
-                rest = cols[:pos] + cols[pos + 1:]
-                term = entry(row, i) * minor(row + 1, rest)
-                total = total - term if pos % 2 else total + term
-            memo[key] = total
+            # the cofactor sign rides on the one-term entry
+            memo[key] = MultiPoly.sum(
+                entry(row, i, -1 if pos % 2 else 1) * minor(row + 1, cols[:pos] + cols[pos + 1:])
+                for pos, i in enumerate(cols))
         return memo[key]
 
     return minor(0, tuple(idx))
@@ -214,7 +218,7 @@ def build_J(np: NagataParams, n: int) -> list:
     basis = nullspace([[Fraction(1)] * np.r, list(np.params)], np.r)
     out = []
     for c in basis:
-        total = MultiPoly.zero()
+        terms = []
         for i, coef in enumerate(c, start=1):
             if not coef:
                 continue
@@ -222,6 +226,6 @@ def build_J(np: NagataParams, n: int) -> list:
             for j in range(1, np.r + 1):
                 if j != i:
                     term = term * _x(j)
-            total = total + term
-        out.append(total)
+            terms.append(term)
+        out.append(MultiPoly.sum(terms))
     return out

@@ -94,7 +94,7 @@ class RootSystemData:
         return len(self.simple_roots)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def simple_roots(ctx: LatticeContext) -> RootSystemData:
     """The a+r-2 simple roots of a context, in the fixed order.
 

@@ -93,7 +93,7 @@ def _match(d: DivisorClass, cfg: PointConfig):
         raise PreconditionError("D", "class does not live on this configuration's blow-up")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def monomial_exponents(n: int, d: int) -> tuple:
     """Exponent tuples of the degree-d monomials in z_0..z_n, graded-lex
     descending (z_0 biggest), the fixed column order of every matrix here."""
@@ -273,11 +273,12 @@ class GenerationReport:
     generated: bool
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _section_table(d: DivisorClass, cfg: PointConfig) -> dict:
     # the section scaled to integer coefficients, keyed by full exponent
     # tuples; spans are scale-invariant, and integer products are cheaper
-    # than Fraction ones
+    # than Fraction ones.  The full criterion-9 grid touches 173 sections,
+    # so the bound only ever evicts sections of configurations long gone
     f = section_of(d, cfg)
     scale = lcm(*(c.denominator for c in f.terms.values()))
     out = {}

@@ -57,7 +57,6 @@ class CheckResult:
             "expected": self.expected,
             "computed": self.computed,
             "passed": self.passed,
-            "seconds": round(self.seconds, 3),
         }
 
 
@@ -457,7 +456,6 @@ class Report:
             "profile": self.profile,
             "seed": self.seed,
             "passed": self.passed,
-            "seconds": round(self.seconds, 3),
             "results": [res.to_json() for res in self.results],
         }
 
@@ -475,10 +473,8 @@ def render_report(report: Report) -> str:
     for res in report.results:
         mark = "PASS" if res.passed else "FAIL"
         lines.append(f"[{mark}] {res.criterion:2d} {res.name}: "
-                     f"expected {res.expected}, computed {res.computed} "
-                     f"({res.seconds:.2f}s)")
+                     f"expected {res.expected}, computed {res.computed}")
     verdict = "all checks passed" if report.passed else "FAILURES PRESENT"
     lines.append(f"{verdict}: {len(report.results)} checks, "
-                 f"profile {report.profile}, seed {report.seed}, "
-                 f"{report.seconds:.1f}s")
+                 f"profile {report.profile}, seed {report.seed}")
     return "\n".join(lines)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -125,6 +126,20 @@ def test_verify_quick_profile(capsys):
     assert payload["results"] and all(item["passed"] for item in payload["results"])
 
 
+def test_verify_stdout_is_byte_deterministic(capsys):
+    outs = set()
+    for _ in range(2):
+        code, out, err = run(capsys, "verify", "--profile", "quick", "--seed", "0")
+        assert code == 0
+        outs.add(out)
+        timings = json.loads(err)
+        assert set(timings["seconds_per_criterion"]) == {str(k) for k in range(1, 12)}
+    assert len(outs) == 1
+    assert "seconds" not in outs.pop()
+    code, out, _ = run(capsys, "verify", "--format", "table")
+    assert code == 0 and not re.search(r"\d\.\d+s\b", out)
+
+
 def test_usage_errors_exit_64(capsys):
     code, _, err = run(capsys, "no-such-verb")
     assert code == 64 and err
@@ -149,6 +164,9 @@ def test_precondition_exit_1_with_payload(capsys):
     assert json.loads(err)["error"]["type"] == "precondition"
     code, _, err = run(capsys, "h0", "--n", "3", "--r", "4",
                        "--d", "1", "--m", "0,0,0,0")
+    assert code == 1
+    assert json.loads(err)["error"]["field"] == "r"
+    code, _, err = run(capsys, "decompose", "--n", "3", "--d", "1", "--m", "0,0,0,0")
     assert code == 1
     assert json.loads(err)["error"]["field"] == "r"
 

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxforge.errors import PreconditionError
 from coxforge.multipoly import MultiPoly, var_key
@@ -146,6 +148,29 @@ def test_json_round_trip():
         assert MultiPoly.from_json(p.to_json()) == p
 
 
+def test_json_accumulates_repeated_monomials():
+    obj = [{"coef": "1", "exps": {"x_1": 1}}, {"coef": "-1", "exps": {"x_1": 1}},
+           {"coef": "1/2", "exps": {"y_1": 2, "x_0": 0}}, {"coef": "3", "exps": {"y_1": 2}},
+           {"coef": "0", "exps": {"x_0": -1}}]
+    p = MultiPoly.from_json(obj)
+    assert p == Fraction(7, 2) * Y1 ** 2 and p.vars == ("y_1",)
+
+
+@pytest.mark.parametrize("obj, field", [
+    ({"coef": "1"}, "poly"),
+    ([{"coef": "1"}], "poly"),
+    (["x_0"], "poly"),
+    ([{"coef": "1/0", "exps": {}}], "rational"),
+    ([{"coef": "1", "exps": {"x_0": 1}}, {"coef": "2", "exps": {"x_0": -1}}], "terms"),
+    ([{"coef": "1", "exps": ["x_0"]}], "poly"),
+    ([{"coef": "1", "exps": {"x_0": "two"}}], "poly"),
+])
+def test_json_malformed_terms_raise(obj, field):
+    with pytest.raises(PreconditionError) as err:
+        MultiPoly.from_json(obj)
+    assert err.value.field == field
+
+
 def test_json_terms_are_sorted_and_deterministic():
     p = X1 + X0 ** 2
     assert p.to_json() == (X0 ** 2 + X1).to_json()
@@ -156,3 +181,93 @@ def test_str_examples():
     f = MultiPoly.variable("z_0") * MultiPoly.variable("z_2") \
         - MultiPoly.variable("z_1") ** 2
     assert str(f) == "z_0*z_2 - z_1^2"
+
+
+# -- results of internal operations are normalized like public constructions --
+
+def assert_normalized(p):
+    rebuilt = MultiPoly(p.vars, p.terms)
+    assert p == rebuilt
+    assert p.vars == rebuilt.vars
+    assert hash(p) == hash(rebuilt)
+    assert all(type(c) is Fraction for c in p.terms.values())
+
+
+def test_cancellation_in_a_sum_prunes_the_variable():
+    x, y = MultiPoly.variable("x"), MultiPoly.variable("y")
+    p = x + y - y
+    assert p.vars == ("x",)
+    assert_normalized(p)
+
+
+def test_difference_with_itself_is_the_zero_polynomial():
+    p = X0 ** 2 * Y1 - Fraction(3, 2) * X1 + 4
+    diff = p - p
+    assert diff.is_zero() and diff.vars == ()
+    assert_normalized(diff)
+
+
+def test_products_with_zero_and_constants():
+    p = X0 * Y1 - Fraction(1, 3) * X1
+    for zero in (p * 0, 0 * p, p * MultiPoly.zero()):
+        assert zero.is_zero() and zero.vars == ()
+        assert_normalized(zero)
+    for scaled in (p * 3, Fraction(-2, 5) * p, p * MultiPoly.const(7)):
+        assert scaled.vars == p.vars
+        assert_normalized(scaled)
+    assert_normalized(MultiPoly.const(5) * MultiPoly.const(Fraction(1, 5)))
+
+
+def test_deriv_down_to_a_constant():
+    p = X0 ** 2 * Y1 + X1
+    const = p.deriv("x_0").deriv("x_0").deriv("y_1")
+    assert const == MultiPoly.const(2) and const.vars == ()
+    assert_normalized(const)
+    assert_normalized(p.deriv("x_0"))
+
+
+def test_substitute_that_removes_variables():
+    p = X0 * X1 + Y1 ** 2
+    got = p.substitute({"x_1": 0, "y_1": X0})
+    assert got == X0 ** 2 and got.vars == ("x_0",)
+    assert_normalized(got)
+    gone = p.substitute({"x_0": MultiPoly.const(2), "x_1": Fraction(1, 2), "y_1": -1})
+    assert gone == MultiPoly.const(2) and gone.vars == ()
+    assert_normalized(gone)
+
+
+def test_sum_accumulates_once_over_all_variables():
+    parts = [X0, -X0, Y1 * X1, MultiPoly.const(3), MultiPoly.zero()]
+    total = MultiPoly.sum(parts)
+    assert total == Y1 * X1 + 3
+    assert_normalized(total)
+    assert MultiPoly.sum([]) == MultiPoly.zero()
+
+
+# names from every variable family, in no particular order
+MIXED_NAMES = ("y_3", "t_2", "x_10", "s", "z_2", "u_1", "x_1", "z_0", "t_1")
+MIXED_VALUES = {name: Fraction(i + 2, i % 3 + 1) * (-1) ** i
+                for i, name in enumerate(MIXED_NAMES)}
+
+
+@st.composite
+def mixed_polys(draw, max_terms=5):
+    names = tuple(draw(st.lists(st.sampled_from(MIXED_NAMES), max_size=4, unique=True)))
+    exps = st.tuples(*(st.integers(0, 3) for _ in names))
+    coefs = st.fractions(min_value=-9, max_value=9, max_denominator=4)
+    return MultiPoly(names, draw(st.dictionaries(exps, coefs, max_size=max_terms)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_polys(), mixed_polys(), st.sampled_from(MIXED_NAMES))
+def test_ring_operations_match_a_public_rebuild(p, q, name):
+    at = MIXED_VALUES
+    total, prod = p + q, p * q
+    assert_normalized(total)
+    assert_normalized(prod)
+    assert_normalized(p - q)
+    assert total.evaluate(at) == p.evaluate(at) + q.evaluate(at)
+    assert prod.evaluate(at) == p.evaluate(at) * q.evaluate(at)
+    image = p.substitute({name: q})
+    assert_normalized(image)
+    assert image.evaluate(at) == p.evaluate({**at, name: q.evaluate(at)})
