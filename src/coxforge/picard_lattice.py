@@ -272,8 +272,8 @@ class CurveClass:
 def pairing_coords(ctx: LatticeContext, h1, m1, h2, m2):
     """Pairing of sum p_i H_i - sum q_j E_j vectors given by raw coordinates.
 
-    Works over any commutative coefficients (int or Fraction); the dataclass
-    wrappers insist on int, the rational K-orthogonal projection does not.
+    Works over any commutative coefficients (int or Fraction) and needs no
+    DivisorClass, whose constructor insists on int coordinates.
     """
     sh1, sh2 = sum(h1), sum(h2)
     return ((ctx.c - 1) * sh1 * sh2

@@ -2,12 +2,13 @@
 normal curve.
 
 A divisor class d H - sum m_i E_i is realized as the space of degree-d
-forms in z_0..z_n vanishing to order at least m_i at the curve points
-p_i = (1, a_i, a_i^2, .., a_i^n).  Vanishing conditions are imposed in the
-affine chart z_0 = 1 through all partial derivatives of order below m_i,
-and every kernel, rank and multiplicity below is computed over exact
-rationals.  The generation test multiplies the unique sections of the
-minimal divisors and compares the span against the full section space.
+forms in z_0..z_n, coefficient vectors over `monomial_exponents(n, d)`,
+vanishing to order at least m_i at the curve points p_i = (1, a_i, .., a_i^n).
+One kernel, `_point_rows` (the integer partials of the monomials at a
+point), yields the conditions of h0, the multiplicity and initial form at a
+point and the order along the curve, all exactly.  The generation test
+multiplies the unique sections of the minimal divisors and compares the
+span against the full section space.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import inf, lcm, perm
+from math import factorial, inf, lcm, perm, prod
 import random
 
 from .blowup_divisors import BlowupContext, enumerate_minimal
@@ -24,7 +25,7 @@ from .budget import effective_cap
 from .errors import CapExceeded, PreconditionError
 from .jsonutil import decode_fraction, decode_int, encode_fraction
 from .linalg import RowEchelon, nullspace, rank
-from .multipoly import MultiPoly
+from .multipoly import MultiPoly, _lift
 from .picard_lattice import DivisorClass, LatticeContext, hdeg
 
 GENERATION_MONOMIAL_CAP = 20000
@@ -106,30 +107,42 @@ def monomial_exponents(n: int, d: int) -> tuple:
     return tuple(out)
 
 
-def _condition_rows(d: int, mults, cfg: PointConfig) -> list:
-    """One row per (point, partial of order < m_i), entries indexed by the
-    degree-d monomial columns.
+def _representative(point) -> tuple:
+    """(P, c): the point scaled to integers, with P_c > 0 at its first nonzero c."""
+    p = [Fraction(v) for v in point]
+    chart = next((j for j, v in enumerate(p) if v), None)
+    if chart is None:
+        raise PreconditionError("p", "point must not be the zero vector")
+    scale = lcm(*(v.denominator for v in p)) * (1 if p[chart] > 0 else -1)
+    return tuple(v.numerator * (scale // v.denominator) for v in p), chart
 
-    In the chart z_0 = 1 the monomial z^g restricts to the product of
-    u_t^{g_t}, u_t = a^t; the derivative by beta contributes falling
-    factorials and drops exponents.
-    """
-    cols = monomial_exponents(cfg.n, d)
+
+def _point_rows(n: int, d: int, point, order: int) -> list:
+    """Row beta holds d^beta z^g at P for every column g of monomial_exponents(n, d),
+    with (P, c) from `_representative` and beta over the order-`order` partials in
+    the coordinates other than c.  The partials are homogeneous, so whether they
+    vanish at the point does not depend on the representative."""
+    rep, chart = _representative(point)
+    others = [t for t in range(n + 1) if t != chart]
     rows = []
-    for a, m in zip(cfg.params, mults):
+    for beta in monomial_exponents(n - 1, order):
+        row = []
+        for g in monomial_exponents(n, d):
+            v = rep[chart] ** g[chart]
+            for t, b in zip(others, beta):
+                v *= perm(g[t], b) * rep[t] ** (g[t] - b) if g[t] >= b else 0
+            row.append(v)
+        rows.append(row)
+    return rows
+
+
+def _condition_rows(d: int, mults, cfg: PointConfig) -> list:
+    """The `_point_rows` of every order below m_i at every curve point p_i,
+    whose orthogonal complement is the section space."""
+    rows = []
+    for point, m in zip(cfg.points(), mults):
         for order in range(min(m, d + 1)):
-            for beta in monomial_exponents(cfg.n - 1, order):
-                row = []
-                for g in cols:
-                    coef = 1
-                    shift = 0
-                    for t in range(1, cfg.n + 1):
-                        coef *= perm(g[t], beta[t - 1])
-                        if coef == 0:
-                            break
-                        shift += t * (g[t] - beta[t - 1])
-                    row.append(coef * a ** shift if coef else Fraction(0))
-                rows.append(row)
+            rows.extend(_point_rows(cfg.n, d, point, order))
     return rows
 
 
@@ -175,6 +188,38 @@ def _z_names(n: int) -> tuple:
     return tuple(f"z_{t}" for t in range(n + 1))
 
 
+def form_from_vector(n: int, d: int, vec) -> MultiPoly:
+    """The form in z_0..z_n with coefficients `vec` over monomial_exponents(n, d)."""
+    return MultiPoly(_z_names(n), {g: c for g, c in zip(monomial_exponents(n, d), vec) if c})
+
+
+def _form_vector(f: MultiPoly, n: int) -> tuple:
+    """(d, s, vec): the degree of a nonzero form f in z_0..z_n, the least s > 0
+    making s f integral, and s f as a vector; the one reader of z_i names."""
+    names = _z_names(n)
+    if any(v not in names for v in f.vars):
+        raise PreconditionError("F", f"variables must lie in z_0..z_{n}")
+    degrees = {sum(e) for e in f.terms}
+    if len(degrees) > 1:
+        raise PreconditionError("F", "need a homogeneous form")
+    if f.is_zero():
+        raise PreconditionError("F", "need a nonzero form")
+    (deg,) = degrees
+    coefs = _lift(f, names)
+    scale = lcm(*(c.denominator for c in coefs.values()))
+    return deg, scale, [int(coefs[g] * scale) if g in coefs else 0
+                        for g in monomial_exponents(n, deg)]
+
+
+def section_vector(d: DivisorClass, cfg: PointConfig) -> tuple:
+    """The unique form of a one-dimensional section space, as a vector with leading entry 1."""
+    fs = form_space(d, cfg)
+    if len(fs.kernel) != 1:
+        raise PreconditionError("D", f"h0 = {len(fs.kernel)}, need exactly 1")
+    lead = next(c for c in fs.kernel[0] if c)
+    return tuple(c / lead for c in fs.kernel[0])
+
+
 def section_of(d: DivisorClass, cfg: PointConfig) -> MultiPoly:
     """The unique form of a one-dimensional section space, with graded-lex
     leading coefficient 1.
@@ -184,41 +229,12 @@ def section_of(d: DivisorClass, cfg: PointConfig) -> MultiPoly:
     >>> str(section_of(conic, cfg))
     'z_0*z_2 - z_1^2'
     """
-    fs = form_space(d, cfg)
-    if len(fs.kernel) != 1:
-        raise PreconditionError("D", f"h0 = {len(fs.kernel)}, need exactly 1")
-    names = _z_names(cfg.n)
-    poly = MultiPoly(names, {g: c for g, c in zip(fs.monomials, fs.kernel[0]) if c})
-    return poly * (1 / poly.leading()[1])
+    return form_from_vector(cfg.n, hdeg(d), section_vector(d, cfg))
 
 
-def _check_form(f: MultiPoly, nvars: int, allow_zero: bool = False):
-    names = set(_z_names(nvars - 1))
-    if any(v not in names for v in f.vars):
-        raise PreconditionError("F", f"variables must lie in z_0..z_{nvars - 1}")
-    degrees = {sum(e) for e in f.terms}
-    if len(degrees) > 1:
-        raise PreconditionError("F", "need a homogeneous form")
-    if not allow_zero and f.is_zero():
-        raise PreconditionError("F", "need a nonzero form")
-
-
-def _recenter(f: MultiPoly, p) -> MultiPoly:
-    """Rewrite a form in affine coordinates u_1..u_n centered at p."""
-    p = tuple(Fraction(v) for v in p)
-    chart = next((j for j, v in enumerate(p) if v), None)
-    if chart is None:
-        raise PreconditionError("p", "point must not be the zero vector")
-    scaled = tuple(v / p[chart] for v in p)
-    mapping = {}
-    slot = 0
-    for t, v in enumerate(scaled):
-        if t == chart:
-            mapping[f"z_{t}"] = MultiPoly.const(1)
-        else:
-            slot += 1
-            mapping[f"z_{t}"] = MultiPoly.variable(f"u_{slot}") + v
-    return f.substitute(mapping)
+def _partials(n: int, d: int, vec, point, order: int) -> list:
+    """The order-`order` partials of the form `vec` at the point, up to scale."""
+    return [sum(a * c for a, c in zip(row, vec) if c) for row in _point_rows(n, d, point, order)]
 
 
 def mult_at_point(f: MultiPoly, p):
@@ -226,44 +242,49 @@ def mult_at_point(f: MultiPoly, p):
     zero form returns the +infinity sentinel."""
     if f.is_zero():
         return inf
-    _check_form(f, len(p))
-    local = _recenter(f, p)
-    return min(sum(e) for e in local.terms)
+    n = len(p) - 1
+    deg, _, vec = _form_vector(f, n)
+    # in the chart, f is a nonzero polynomial of degree <= deg
+    return next(o for o in range(deg + 1) if any(_partials(n, deg, vec, p, o)))
 
 
 def initial_form_at_point(f: MultiPoly, p) -> MultiPoly:
-    """Lowest-degree homogeneous part of f in affine coordinates at p.
+    """Lowest-degree homogeneous part of f in affine coordinates u_1..u_n at
+    p, in the chart of p's first nonzero coordinate c: the coefficient of
+    u^beta is d^beta f(p / p_c) / beta! = d^beta (s f)(P) / (s P_c^(d - o) beta!).
 
     >>> F = MultiPoly.variable("z_1") * MultiPoly.variable("z_2")
     >>> str(initial_form_at_point(F, (1, 0, 0)))
     'u_1*u_2'
     """
-    _check_form(f, len(p))
-    local = _recenter(f, p)
-    low = min(sum(e) for e in local.terms)
-    return MultiPoly(local.vars, {e: c for e, c in local.terms.items() if sum(e) == low})
+    n = len(p) - 1
+    deg, scale, vec = _form_vector(f, n)
+    order = mult_at_point(f, p)
+    rep, chart = _representative(p)
+    scale *= rep[chart] ** (deg - order)
+    values = _partials(n, deg, vec, p, order)
+    return MultiPoly(tuple(f"u_{t}" for t in range(1, n + 1)),
+                     {beta: Fraction(v, scale * prod(map(factorial, beta)))
+                      for beta, v in zip(monomial_exponents(n - 1, order), values)})
 
 
 def mult_along_curve(f: MultiPoly, cfg: PointConfig) -> int:
     """Largest m such that all partials of f of order < m vanish on the
-    whole curve (an identity in the parameter after z_j -> s^j)."""
-    _check_form(f, cfg.n + 1)
-    curve = {f"z_{j}": MultiPoly.variable("s") ** j for j in range(cfg.n + 1)}
-    names = _z_names(cfg.n)
-    level = {(): f}
-    order = 0
-    while True:
-        if any(not g.substitute(curve).is_zero() for g in level.values()):
+    whole curve s -> (1, s, .., s^n).
+
+    An order-o partial of a degree-d form restricts to the curve as a
+    polynomial in s of degree <= (d - o) n, so it vanishes identically once
+    it vanishes at s = 0..(d - o) n, at most dn + 1 parameters.  There
+    z_0 = 1, and Euler's relation z_0 d_0 g = deg(g) g - sum_{t>0} z_t d_t g
+    makes the chart partials of `_point_rows` vanish to a given order exactly
+    when all homogeneous partials do.  Exact arithmetic needs no fallback.
+    """
+    n = cfg.n
+    deg, _, vec = _form_vector(f, n)
+    curve = [tuple(s ** j for j in range(n + 1)) for s in range(deg * n + 1)]
+    for order in range(deg + 1):
+        if any(any(_partials(n, deg, vec, q, order)) for q in curve[:(deg - order) * n + 1]):
             return order
-        nxt = {}
-        for beta, g in level.items():
-            padded = beta + (0,) * (cfg.n + 1 - len(beta))
-            for t, name in enumerate(names):
-                key = tuple(v + (1 if i == t else 0) for i, v in enumerate(padded))
-                if key not in nxt:
-                    nxt[key] = g.deriv(name)
-        level = nxt
-        order += 1
 
 
 @dataclass(frozen=True)
@@ -279,15 +300,9 @@ def _section_table(d: DivisorClass, cfg: PointConfig) -> dict:
     # tuples; spans are scale-invariant, and integer products are cheaper
     # than Fraction ones.  The full criterion-9 grid touches 173 sections,
     # so the bound only ever evicts sections of configurations long gone
-    f = section_of(d, cfg)
-    scale = lcm(*(c.denominator for c in f.terms.values()))
-    out = {}
-    for e, c in f.terms.items():
-        full = [0] * (cfg.n + 1)
-        for name, exp in zip(f.vars, e):
-            full[int(name.partition("_")[2])] = exp
-        out[tuple(full)] = int(c * scale)
-    return out
+    vec = section_vector(d, cfg)
+    scale = lcm(*(c.denominator for c in vec))
+    return {g: int(c * scale) for g, c in zip(monomial_exponents(cfg.n, hdeg(d)), vec) if c}
 
 
 def _table_mul(t1: dict, t2: dict) -> dict:
@@ -321,9 +336,10 @@ def generation_test(d: DivisorClass, cfg: PointConfig,
     if len(cols) > GENERATION_MONOMIAL_CAP:
         raise CapExceeded("generation monomial basis", GENERATION_MONOMIAL_CAP)
     budget = effective_cap(cap, default=GENERATION_NODE_CAP)
+    if dim == 0:
+        return GenerationReport(0, 0, True)
     gens = sorted(enumerate_minimal(cfg.blowup_context()),
                   key=lambda g: (-hdeg(g), g.sort_key()))
-    index = {g: i for i, g in enumerate(cols)}
     span = RowEchelon(len(cols))
     nodes = 0
 
@@ -338,10 +354,7 @@ def generation_test(d: DivisorClass, cfg: PointConfig,
             product = {(0,) * (cfg.n + 1): 1}
             for g in parts:
                 product = _table_mul(product, _section_table(g, cfg))
-            vec = [0] * len(cols)
-            for e, c in product.items():
-                vec[index[e]] = c
-            span.add(vec)
+            span.add([product.get(e, 0) for e in cols])
             return span.rank == dim
         for j in range(start, len(gens)):
             g = gens[j]
@@ -352,6 +365,5 @@ def generation_test(d: DivisorClass, cfg: PointConfig,
                 return True
         return False
 
-    if dim > 0:
-        dfs(0, deg, (0,) * cfg.r, ())
+    dfs(0, deg, (0,) * cfg.r, ())
     return GenerationReport(dim, span.rank, span.rank == dim)

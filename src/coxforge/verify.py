@@ -26,18 +26,19 @@ from .blowup_divisors import (
     mult_lower_bound,
 )
 from .linalg import rank
-from .multipoly import MultiPoly
 from .nagata_invariants import NagataParams, build_F, divisor_class_of, is_invariant
 from .picard_lattice import DivisorClass, LatticeContext, anticanonical, degree
 from .root_system import is_minuscule, reflect, simple_roots, weyl_orbit
 from .section_spaces import (
     PointConfig,
+    form_from_vector,
     form_space,
     generation_test,
     h0,
     mult_along_curve,
     mult_at_point,
     section_of,
+    section_vector,
 )
 
 
@@ -141,16 +142,6 @@ _CONES_GRID_FULL = ((2, 6), (2, 7), (3, 7), (4, 8))
 _CONES_GRID_QUICK = ((2, 6), (2, 7), (3, 7))
 
 
-def _coeff_vector(f: MultiPoly, monomials, n: int):
-    table = {}
-    for e, c in f.terms.items():
-        full = [0] * (n + 1)
-        for name, exp in zip(f.vars, e):
-            full[int(name.partition("_")[2])] = exp
-        table[tuple(full)] = c
-    return [table.get(g, 0) for g in monomials]
-
-
 def _h0_suite(s: _Suite, profile: str, rng: random.Random):
     grid = _H0_GRID_QUICK if profile == "quick" else _H0_GRID_FULL
     for n, r in grid:
@@ -178,11 +169,9 @@ def _h0_suite(s: _Suite, profile: str, rng: random.Random):
                 d = DivisorClass(ctx, (k,), m)
                 if h0(d, cfg) != k + 1:
                     continue
-                fs = form_space(d, cfg)
                 comp = set(range(1, r + 1)) - set(idx)
-                vecs = {i: _coeff_vector(
-                    section_of(d - DivisorClass.exceptional(ctx, i), cfg),
-                    fs.monomials, n) for i in comp}
+                vecs = {i: section_vector(d - DivisorClass.exceptional(ctx, i), cfg)
+                        for i in comp}
                 if all(rank([vecs[i] for i in pick]) == k + 1
                        for pick in combinations(sorted(comp), k + 1)):
                     good += 1
@@ -194,12 +183,6 @@ def _h0_suite(s: _Suite, profile: str, rng: random.Random):
 
 _MULT_GRID_FULL = ((2, 5), (2, 6), (2, 7), (2, 8), (3, 6), (3, 7), (3, 8))
 _MULT_GRID_QUICK = ((2, 5), (2, 6), (2, 7), (3, 6), (3, 7))
-
-
-def _kernel_form(d: DivisorClass, cfg: PointConfig) -> MultiPoly:
-    fs = form_space(d, cfg)
-    names = tuple(f"z_{t}" for t in range(cfg.n + 1))
-    return MultiPoly(names, {g: c for g, c in zip(fs.monomials, fs.kernel[0]) if c})
 
 
 def _mult_suite(s: _Suite, profile: str, rng: random.Random):
@@ -230,11 +213,12 @@ def _mult_suite(s: _Suite, profile: str, rng: random.Random):
         d = rng.randint(1, 4)
         m = tuple(rng.randint(0, d) for _ in range(r))
         dd = DivisorClass(cfg.lattice_context(), (d,), m)
-        if h0(dd, cfg) == 0:
+        fs = form_space(dd, cfg)
+        if not fs.kernel:
             continue
         found += 1
         bound = mult_lower_bound(dd, cfg.blowup_context())
-        if mult_along_curve(_kernel_form(dd, cfg), cfg) >= bound:
+        if mult_along_curve(form_from_vector(n, d, fs.kernel[0]), cfg) >= bound:
             ok += 1
     s.check(f"curve order >= multiplicity bound on {want} sampled classes",
             _fraction_line(want, want), _fraction_line(ok, found))
@@ -355,11 +339,10 @@ def _generation(s: _Suite, profile: str, rng: random.Random):
         total = good = 0
         for deg in range(dmax + 1):
             for m in mults(r, deg):
-                dd = DivisorClass(ctx, (deg,), m)
-                if h0(dd, cfg) == 0:
+                report = generation_test(DivisorClass(ctx, (deg,), m), cfg)
+                if report.h0 == 0:
                     continue
                 total += 1
-                report = generation_test(dd, cfg)
                 if report.generated and report.span_dim == report.h0:
                     good += 1
         s.check(f"products span every section space ({n},{r},d<={dmax},{mode} m)",

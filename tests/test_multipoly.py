@@ -74,6 +74,30 @@ def test_pow_matches_repeated_multiplication():
     assert p ** 3 == p * p * p
 
 
+def test_pow_multiplies_once_per_set_bit_and_per_squaring(monkeypatch):
+    # square-and-multiply: popcount(e) products into the result and
+    # bit_length(e) - 1 squarings, none after the last bit
+    p = X0 + 2 * X1 - Y1
+    powers = [MultiPoly.const(1)]
+    for _ in range(12):
+        powers.append(powers[-1] * p)
+    calls = []
+    plain_mul = MultiPoly.__mul__
+
+    def counting_mul(self, other):
+        calls.append(1)
+        return plain_mul(self, other)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counting_mul)
+    counts = {}
+    for e in range(1, 13):
+        calls.clear()
+        assert p ** e == powers[e]
+        counts[e] = len(calls)
+    assert all(counts[e] == bin(e).count("1") + e.bit_length() - 1 for e in counts)
+    assert (counts[1], counts[2], counts[5]) == (1, 2, 4)
+
+
 def test_scalar_operations():
     assert 2 * X0 == X0 + X0
     assert X0 * Fraction(1, 2) + X0 * Fraction(1, 2) == X0

@@ -7,6 +7,8 @@ from math import comb, inf
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxforge.blowup_divisors import mult_lower_bound
 from coxforge.errors import CapExceeded, PreconditionError
@@ -271,3 +273,124 @@ def test_generation_caps_and_bounds():
     cfg58 = PointConfig.default(5, 8)
     with pytest.raises(PreconditionError):
         generation_test(DivisorClass.hyperplane(cfg58.lattice_context()), cfg58)
+
+
+# -- multiplicities against symbolic expansion -------------------------------
+
+def form_to_sympy(f, zs):
+    expr = sympy.Integer(0)
+    for exps, coef in f.terms.items():
+        term = sympy.Rational(coef.numerator, coef.denominator)
+        for name, e in zip(f.vars, exps):
+            term *= zs[int(name.partition("_")[2])] ** e
+        expr += term
+    return expr
+
+
+def oracle_local_terms(f, p):
+    """Terms of f(q + u), q = p scaled to 1 in its first nonzero coordinate,
+    expanded by sympy over u_1..u_n (the other coordinates, in order)."""
+    n = len(p) - 1
+    zs = sympy.symbols(f"z0:{n + 1}")
+    us = sympy.symbols(f"u1:{n + 1}")
+    chart = next(j for j, v in enumerate(p) if v)
+    others = iter(us)
+    subs = {zs[t]: 1 if t == chart else sympy.Rational(Fraction(p[t], p[chart])) + next(others)
+            for t in range(n + 1)}
+    local = sympy.Poly(sympy.expand(form_to_sympy(f, zs).subs(subs, simultaneous=True)), *us)
+    return dict(local.terms())
+
+
+def oracle_mult_along_curve(f, n):
+    """First order at which some homogeneous partial of f is not identically
+    zero on s -> (1, s, .., s^n)."""
+    zs = sympy.symbols(f"z0:{n + 1}")
+    s = sympy.Symbol("s")
+    curve = {z: s ** j for j, z in enumerate(zs)}
+    level, order = {form_to_sympy(f, zs)}, 0
+    while all(sympy.expand(g.subs(curve)) == 0 for g in level):
+        level = {sympy.diff(g, z) for g in level for z in zs}
+        order += 1
+    return order
+
+
+RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def forms_at_points(draw):
+    """A nonzero form in z_0..z_n and a point: a random form times optional
+    powers of z_0, of the conic z_0 z_2 - z_1^2 through the curve, and of a
+    line through the point, so high orders occur; points may have p_0 = 0,
+    a negative chart coordinate or rational coordinates."""
+    n = draw(st.integers(1, 3))
+    point = draw(st.lists(RATIONALS, min_size=n + 1, max_size=n + 1))
+    kind = draw(st.sampled_from(("any", "p0 zero", "negative chart", "curve")))
+    if kind == "p0 zero":
+        point[0] = 0
+    elif kind == "curve":
+        point = [point[0] ** j for j in range(n + 1)]
+    if not any(point):
+        point[-1] = Fraction(1)
+    chart = next(j for j, v in enumerate(point) if v)
+    if kind == "negative chart" and point[chart] > 0:
+        point = [-v for v in point]
+    zs = [MultiPoly.variable(f"z_{t}") for t in range(n + 1)]
+    d = draw(st.integers(0, 3 if n < 3 else 2))
+    monos = monomial_exponents(n, d)
+    coefs = draw(st.lists(RATIONALS, min_size=len(monos), max_size=len(monos)))
+    f = MultiPoly(tuple(f"z_{t}" for t in range(n + 1)), dict(zip(monos, coefs)))
+    if f.is_zero():
+        f = MultiPoly.const(draw(st.sampled_from((1, -2, Fraction(3, 4)))))
+    f = f * zs[0] ** draw(st.integers(0, 1))
+    if n >= 2:
+        f = f * (zs[0] * zs[2] - zs[1] ** 2) ** draw(st.integers(0, 2))
+    other = (chart + 1) % (n + 1)
+    through_p = point[chart] * zs[other] - point[other] * zs[chart]
+    f = f * through_p ** draw(st.integers(0, 2))
+    return f, tuple(point)
+
+
+@settings(max_examples=120, deadline=None)
+@given(forms_at_points())
+def test_multiplicities_match_symbolic_expansion(case):
+    f, p = case
+    local = oracle_local_terms(f, p)
+    low = min(sum(e) for e in local)
+    assert mult_at_point(f, p) == low
+    n = len(p) - 1
+    want = MultiPoly(tuple(f"u_{k}" for k in range(1, n + 1)),
+                     {e: Fraction(int(c.p), int(c.q)) for e, c in local.items() if sum(e) == low})
+    assert initial_form_at_point(f, p) == want
+    if n >= 2:
+        assert mult_along_curve(f, PointConfig.default(n, n + 3)) == oracle_mult_along_curve(f, n)
+
+
+def test_form_and_point_errors_keep_their_field_and_detail():
+    z0, z1 = MultiPoly.variable("z_0"), MultiPoly.variable("z_1")
+    zero_point = ("p", "point must not be the zero vector")
+    cases = (
+        (mult_at_point, (z0, (0, 0, 0)), zero_point),
+        (mult_at_point, (MultiPoly.const(2), ()), zero_point),
+        (initial_form_at_point, (z0 * z1, (0, 0)), zero_point),
+        (initial_form_at_point, (MultiPoly.const(1), ()), zero_point),
+        (mult_at_point, (z0, ()), ("F", "variables must lie in z_0..z_-1")),
+        (mult_at_point, (MultiPoly.variable("z_3"), (1, 0, 0)),
+         ("F", "variables must lie in z_0..z_2")),
+        (initial_form_at_point, (MultiPoly.variable("u_1"), (1, 0)),
+         ("F", "variables must lie in z_0..z_1")),
+        (mult_along_curve, (MultiPoly.variable("z_3"), CFG25),
+         ("F", "variables must lie in z_0..z_2")),
+        # the form is checked before the point
+        (mult_at_point, (z0 + z1 ** 2, (0, 0, 0)), ("F", "need a homogeneous form")),
+        (initial_form_at_point, (z0 + z1 ** 2, (1, 0)), ("F", "need a homogeneous form")),
+        (mult_along_curve, (z0 + 1, CFG25), ("F", "need a homogeneous form")),
+        (initial_form_at_point, (MultiPoly.zero(), (1, 0, 0)), ("F", "need a nonzero form")),
+        (mult_along_curve, (MultiPoly.zero(), CFG36), ("F", "need a nonzero form")),
+    )
+    for func, args, (field, detail) in cases:
+        with pytest.raises(PreconditionError) as err:
+            func(*args)
+        assert (err.value.field, err.value.detail) == (field, detail)
+    # the zero form has infinite multiplicity everywhere, even at the zero vector
+    assert mult_at_point(MultiPoly.zero(), (0, 0, 0)) == inf
