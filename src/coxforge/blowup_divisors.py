@@ -26,7 +26,7 @@ from .picard_lattice import (
     hdeg,
     intersect,
 )
-from .root_system import simple_roots, weyl_orbit_curves
+from .root_system import degree_one_divisors, simple_roots, weyl_orbit_curves
 
 
 @dataclass(frozen=True, order=True)
@@ -229,15 +229,13 @@ class MembershipResult:
 
 @lru_cache(maxsize=64)
 def _nef_orbits(ctx: LatticeContext, cap: int):
+    # the two sorted orbits as flat coordinate tuples
     rs = simple_roots(ctx)
     if rs.dynkin_label == "INFINITE":
         raise PreconditionError("ctx", "finite type required")
-    f1 = CurveClass.line(ctx, 1)
-    for i in range(2, ctx.a):
-        f1 = f1 + CurveClass.line(ctx, i)
-    f1 = f1 - CurveClass.exceptional_line(ctx, 1)
+    f1 = CurveClass(ctx, (1,) * (ctx.a - 1), (-1,) + (0,) * (ctx.r - 1))  # sum l_i - e_1
     f2 = CurveClass.line(ctx, ctx.a - 1)
-    return (weyl_orbit_curves(f1, rs, cap), weyl_orbit_curves(f2, rs, cap))
+    return tuple(tuple(g.coords() for g in weyl_orbit_curves(f, rs, cap)) for f in (f1, f2))
 
 
 def eff_membership(d: DivisorClass, cap: int | None = None) -> MembershipResult:
@@ -246,10 +244,11 @@ def eff_membership(d: DivisorClass, cap: int | None = None) -> MembershipResult:
     is returned as the certificate.
     """
     orbits = _nef_orbits(d.ctx, effective_cap(cap))
+    x = d.coords()
     for orbit in orbits:
         for g in orbit:
-            if intersect(d, g) < 0:
-                return MembershipResult(False, g)
+            if sum(a * b for a, b in zip(x, g)) < 0:
+                return MembershipResult(False, CurveClass.from_coords(d.ctx, g))
     return MembershipResult(True, None)
 
 
@@ -261,43 +260,44 @@ def decompose_degree1(d: DivisorClass, cap: int | None = None):
     multiset is visited once.  Exhausting the node budget raises, which is
     distinct from a completed search returning None.
     """
-    from .root_system import degree_one_divisors
-
     cap = effective_cap(cap)
     deg = degree(d)
     if deg.denominator != 1 or deg < 0:
         raise PreconditionError("D", f"degree must be a nonnegative integer, got {deg}")
     slots = int(deg)
-    candidates = sorted(degree_one_divisors(d.ctx),
-                        key=lambda c: (-sum(c.h), c.sort_key()))
+    nh = d.ctx.a - 1
+    # flat coordinate tuples; (-H-degree, coordinates) is the order above
+    candidates = sorted((c.coords() for c in degree_one_divisors(d.ctx)),
+                        key=lambda x: (-sum(x[:nh]), x))
     if not candidates:
         return () if d.is_zero() else None
-    min_h = sum(candidates[-1].h)
+    heights = [sum(x[:nh]) for x in candidates]
+    min_h = heights[-1]
     nodes = 0
     dead = set()
 
-    def search(i: int, remaining: DivisorClass, slots: int):
+    def search(i: int, remaining: tuple, slots: int):
         nonlocal nodes
         if slots == 0:
-            return () if remaining.is_zero() else None
-        key = (i, remaining.h, remaining.m)
+            return () if not any(remaining) else None
+        key = (i, remaining)
         if key in dead:
             return None
         nodes += 1
         if nodes > cap:
             raise CapExceeded("decompose_degree1", cap)
-        want = sum(remaining.h)
+        want = sum(remaining[:nh])
         if want >= min_h * slots:
             for j in range(i, len(candidates)):
-                if sum(candidates[j].h) * slots < want:
+                if heights[j] * slots < want:
                     break  # candidates only get flatter from here
-                rest = search(j, remaining - candidates[j], slots - 1)
+                rest = search(j, tuple(a - b for a, b in zip(remaining, candidates[j])), slots - 1)
                 if rest is not None:
                     return (candidates[j],) + rest
         dead.add(key)
         return None
 
-    found = search(0, d, slots)
+    found = search(0, d.coords(), slots)
     if found is None:
         return None
-    return tuple(sorted(found, key=DivisorClass.sort_key))
+    return tuple(DivisorClass.from_coords(d.ctx, x) for x in sorted(found))

@@ -263,13 +263,17 @@ class MultiPoly:
             images[name] = img
         bases = [images[name] if name in images else MultiPoly.variable(name)
                  for name in self.vars]
+        powers = {}  # (variable index, exponent) -> base ** exponent, raised once
 
         def products():
             for exps, coef in self.terms.items():
                 prod = MultiPoly.const(coef)
-                for base, e in zip(bases, exps):
+                for i, e in enumerate(exps):
                     if e:
-                        prod = prod * base ** e
+                        power = powers.get((i, e))
+                        if power is None:
+                            power = powers[i, e] = bases[i] ** e
+                        prod = prod * power
                 yield prod
 
         return MultiPoly._sum(_union(bases), products())

@@ -27,6 +27,12 @@ the factors) and e_1..e_r (lines inside the exceptional divisors), with
 restricts to O(-1) on a line of E_j).  Consequently D . l_i = d_i and
 D . (l_1 + .. + l_{a-1} - e_j) = d_1 + .. + d_{a-1} - m_j, the quantities
 every effectivity argument below is phrased in.
+
+Both kinds of class are flat integer vectors of length a - 1 + r: `coords()`
+joins h + m (or l + e), `from_coords` splits one back, and their shared
+arithmetic is written once on that vector.  There D . g is the plain dot
+product, so the orbit, membership and decomposition searches run on
+coordinate tuples and build classes for their answers only.
 """
 
 from __future__ import annotations
@@ -94,7 +100,7 @@ class LatticeContext:
             raise PreconditionError("ctx", f"missing key {missing.args[0]!r}") from None
 
 
-def _check_coords(ctx: LatticeContext, name: str, coords, length: int) -> tuple:
+def _check_coords(name: str, coords, length: int) -> tuple:
     coords = tuple(coords)
     if len(coords) != length:
         raise PreconditionError(name, f"expected {length} coordinates, got {len(coords)}")
@@ -104,8 +110,70 @@ def _check_coords(ctx: LatticeContext, name: str, coords, length: int) -> tuple:
     return coords
 
 
+class _LatticeVector:
+    """Checks and arithmetic shared by divisor and curve classes, on the flat
+    vector `coords()`; `_parts` names the two stored coordinate fields and
+    `_kind` the classes in the cross-context error."""
+
+    _parts = ()
+    _kind = ""
+
+    def __post_init__(self):
+        first, second = self._parts
+        ctx = self.ctx
+        object.__setattr__(self, first, _check_coords(first, getattr(self, first), ctx.a - 1))
+        object.__setattr__(self, second, _check_coords(second, getattr(self, second), ctx.r))
+
+    def coords(self) -> tuple:
+        first, second = self._parts
+        return getattr(self, first) + getattr(self, second)
+
+    @classmethod
+    def from_coords(cls, ctx: LatticeContext, x):
+        """The class of `ctx` whose flat coordinate vector is x."""
+        k = ctx.a - 1
+        return cls(ctx, x[:k], x[k:])
+
+    @classmethod
+    def _unit(cls, ctx: LatticeContext, pos: int, value: int):
+        # value times the basis vector at flat position pos
+        x = [0] * ctx.rank
+        x[pos] = value
+        return cls.from_coords(ctx, x)
+
+    def _same_ctx(self, other):
+        if not isinstance(other, type(self)):
+            raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
+        if self.ctx != other.ctx:
+            raise PreconditionError("ctx", f"{self._kind} live in different contexts")
+
+    def __add__(self, other):
+        self._same_ctx(other)
+        pairs = zip(self.coords(), other.coords())
+        return self.from_coords(self.ctx, tuple(x + y for x, y in pairs))
+
+    def __sub__(self, other):
+        self._same_ctx(other)
+        pairs = zip(self.coords(), other.coords())
+        return self.from_coords(self.ctx, tuple(x - y for x, y in pairs))
+
+    def __neg__(self):
+        return self.from_coords(self.ctx, tuple(-x for x in self.coords()))
+
+    def __mul__(self, k: int):
+        if not isinstance(k, int) or isinstance(k, bool):
+            return NotImplemented
+        return self.from_coords(self.ctx, tuple(k * x for x in self.coords()))
+
+    __rmul__ = __mul__
+
+    def sort_key(self):
+        first, second = self._parts
+        return (getattr(self, first), getattr(self, second))
+
+
 @dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(_LatticeVector):
     """Integer divisor class D = sum d_i H_i - sum m_j E_j.
 
     `h` holds (d_1..d_{a-1}) and `m` holds (m_1..m_r); note the sign of m.
@@ -116,13 +184,12 @@ class DivisorClass:
     DivisorClass(ctx=LatticeContext(a=2, b=2, c=3), h=(2,), m=(2, 1, 1, 1, 1))
     """
 
+    _parts = ("h", "m")
+    _kind = "divisor classes"
+
     ctx: LatticeContext
     h: tuple
     m: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "h", _check_coords(self.ctx, "h", self.h, self.ctx.a - 1))
-        object.__setattr__(self, "m", _check_coords(self.ctx, "m", self.m, self.ctx.r))
 
     @classmethod
     def zero(cls, ctx: LatticeContext) -> "DivisorClass":
@@ -133,50 +200,17 @@ class DivisorClass:
         """H_i, 1-based."""
         if not 1 <= i <= ctx.a - 1:
             raise PreconditionError("i", f"hyperplane index out of range 1..{ctx.a - 1}")
-        h = [0] * (ctx.a - 1)
-        h[i - 1] = 1
-        return cls(ctx, tuple(h), (0,) * ctx.r)
+        return cls._unit(ctx, i - 1, 1)
 
     @classmethod
     def exceptional(cls, ctx: LatticeContext, j: int) -> "DivisorClass":
         """E_j, 1-based; stored with m_j = -1."""
         if not 1 <= j <= ctx.r:
             raise PreconditionError("j", f"exceptional index out of range 1..{ctx.r}")
-        m = [0] * ctx.r
-        m[j - 1] = -1
-        return cls(ctx, (0,) * (ctx.a - 1), tuple(m))
-
-    def _same_ctx(self, other: "DivisorClass"):
-        if self.ctx != other.ctx:
-            raise PreconditionError("ctx", "divisor classes live in different contexts")
-
-    def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        self._same_ctx(other)
-        return DivisorClass(self.ctx,
-                            tuple(x + y for x, y in zip(self.h, other.h)),
-                            tuple(x + y for x, y in zip(self.m, other.m)))
-
-    def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        self._same_ctx(other)
-        return DivisorClass(self.ctx,
-                            tuple(x - y for x, y in zip(self.h, other.h)),
-                            tuple(x - y for x, y in zip(self.m, other.m)))
-
-    def __neg__(self) -> "DivisorClass":
-        return DivisorClass(self.ctx, tuple(-x for x in self.h), tuple(-x for x in self.m))
-
-    def __mul__(self, k: int) -> "DivisorClass":
-        if not isinstance(k, int) or isinstance(k, bool):
-            return NotImplemented
-        return DivisorClass(self.ctx, tuple(k * x for x in self.h), tuple(k * x for x in self.m))
-
-    __rmul__ = __mul__
+        return cls._unit(ctx, (ctx.a - 1) + (j - 1), -1)
 
     def is_zero(self) -> bool:
         return not any(self.h) and not any(self.m)
-
-    def sort_key(self):
-        return (self.h, self.m)
 
     def to_json(self) -> dict:
         return {"ctx": self.ctx.to_json(),
@@ -196,63 +230,29 @@ class DivisorClass:
 
 
 @dataclass(frozen=True)
-class CurveClass:
+class CurveClass(_LatticeVector):
     """Integer curve class g = sum lambda_i l_i + sum mu_j e_j."""
+
+    _parts = ("l", "e")
+    _kind = "curve classes"
 
     ctx: LatticeContext
     l: tuple
     e: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "l", _check_coords(self.ctx, "l", self.l, self.ctx.a - 1))
-        object.__setattr__(self, "e", _check_coords(self.ctx, "e", self.e, self.ctx.r))
 
     @classmethod
     def line(cls, ctx: LatticeContext, i: int = 1) -> "CurveClass":
         """l_i, 1-based."""
         if not 1 <= i <= ctx.a - 1:
             raise PreconditionError("i", f"line index out of range 1..{ctx.a - 1}")
-        l = [0] * (ctx.a - 1)
-        l[i - 1] = 1
-        return cls(ctx, tuple(l), (0,) * ctx.r)
+        return cls._unit(ctx, i - 1, 1)
 
     @classmethod
     def exceptional_line(cls, ctx: LatticeContext, j: int) -> "CurveClass":
         """e_j, 1-based."""
         if not 1 <= j <= ctx.r:
             raise PreconditionError("j", f"index out of range 1..{ctx.r}")
-        e = [0] * ctx.r
-        e[j - 1] = 1
-        return cls(ctx, (0,) * (ctx.a - 1), tuple(e))
-
-    def _same_ctx(self, other: "CurveClass"):
-        if self.ctx != other.ctx:
-            raise PreconditionError("ctx", "curve classes live in different contexts")
-
-    def __add__(self, other: "CurveClass") -> "CurveClass":
-        self._same_ctx(other)
-        return CurveClass(self.ctx,
-                          tuple(x + y for x, y in zip(self.l, other.l)),
-                          tuple(x + y for x, y in zip(self.e, other.e)))
-
-    def __sub__(self, other: "CurveClass") -> "CurveClass":
-        self._same_ctx(other)
-        return CurveClass(self.ctx,
-                          tuple(x - y for x, y in zip(self.l, other.l)),
-                          tuple(x - y for x, y in zip(self.e, other.e)))
-
-    def __neg__(self) -> "CurveClass":
-        return CurveClass(self.ctx, tuple(-x for x in self.l), tuple(-x for x in self.e))
-
-    def __mul__(self, k: int) -> "CurveClass":
-        if not isinstance(k, int) or isinstance(k, bool):
-            return NotImplemented
-        return CurveClass(self.ctx, tuple(k * x for x in self.l), tuple(k * x for x in self.e))
-
-    __rmul__ = __mul__
-
-    def sort_key(self):
-        return (self.l, self.e)
+        return cls._unit(ctx, (ctx.a - 1) + (j - 1), 1)
 
     def to_json(self) -> dict:
         return {"l": [encode_int(v) for v in self.l],
@@ -302,7 +302,7 @@ def intersect(d: DivisorClass, g: CurveClass) -> int:
     """
     if d.ctx != g.ctx:
         raise PreconditionError("ctx", "divisor and curve live in different contexts")
-    return sum(x * y for x, y in zip(d.h, g.l)) + sum(x * y for x, y in zip(d.m, g.e))
+    return sum(x * y for x, y in zip(d.coords(), g.coords()))
 
 
 def anticanonical(ctx: LatticeContext) -> DivisorClass:
@@ -331,31 +331,31 @@ def hdeg(d: DivisorClass) -> int:
     return d.h[0]
 
 
-def _format_combination(parts) -> str:
+def _format_combination(x, first: str, second: str, sign: int) -> str:
+    # the class as a sum of named basis vectors; `sign` scales the second part
+    k = x.ctx.a - 1
+    parts = []
+    for i, v in enumerate(x.coords()):
+        if v == 0:
+            continue
+        if i < k:
+            parts.append((v, first if k == 1 else f"{first}_{i + 1}"))
+        else:
+            parts.append((sign * v, f"{second}_{i - k + 1}"))
     if not parts:
         return "0"
     out = []
-    for k, (v, name) in enumerate(parts):
-        sign = "-" if v < 0 else ("+" if k else "")
+    for i, (v, name) in enumerate(parts):
+        mark = "-" if v < 0 else ("+" if i else "")
         mag = abs(v)
         coef = "" if mag == 1 else str(mag)
-        out.append(f"{sign}{coef}{name}" if k == 0 else f" {sign} {coef}{name}")
+        out.append(f"{mark}{coef}{name}" if i == 0 else f" {mark} {coef}{name}")
     return "".join(out)
 
 
 def format_divisor(d: DivisorClass) -> str:
     """Human-readable form like '2H - E_1 - E_2' (used by the table output)."""
-    parts = []
-    for i, v in enumerate(d.h, start=1):
-        if v == 0:
-            continue
-        name = "H" if d.ctx.a == 2 else f"H_{i}"
-        parts.append((v, name))
-    for j, v in enumerate(d.m, start=1):
-        if v == 0:
-            continue
-        parts.append((-v, f"E_{j}"))
-    return _format_combination(parts)
+    return _format_combination(d, "H", "E", -1)
 
 
 def format_curve(g: CurveClass) -> str:
@@ -365,14 +365,4 @@ def format_curve(g: CurveClass) -> str:
     >>> format_curve(CurveClass(ctx, (1,), (-1, 0, 0, 0, 0)))
     'l - e_1'
     """
-    parts = []
-    for i, v in enumerate(g.l, start=1):
-        if v == 0:
-            continue
-        name = "l" if g.ctx.a == 2 else f"l_{i}"
-        parts.append((v, name))
-    for j, v in enumerate(g.e, start=1):
-        if v == 0:
-            continue
-        parts.append((v, f"e_{j}"))
-    return _format_combination(parts)
+    return _format_combination(g, "l", "e", 1)

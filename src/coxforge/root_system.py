@@ -10,6 +10,12 @@ fundamental-weight basis, full weight systems of irreducible highest
 weight modules by string saturation, minuscule detection, and the
 enumeration of all divisor classes of degree one.
 
+Every orbit is one breadth-first closure, `_orbit`, of a coordinate tuple
+under moves x -> x + (x . f) v: (dual(alpha), alpha) for divisors, where
+`_dual` applies the Gram form, (alpha, dual(alpha)) for curves and (e_i,
+minus Cartan column i) for weights.  Roots are validated once per orbit, and
+tuples become classes once, after sorting.
+
 Root ordering: alpha_i = E_i - E_{i+1} for i < r, alpha_r = H_1 - E_1 -
 ... - E_c, then alpha_{r+j} = H_{j+1} - H_j walking up the remaining
 hyperplane classes.  The last group is oriented so that consecutive roots
@@ -31,6 +37,7 @@ from .picard_lattice import (
     CurveClass,
     DivisorClass,
     LatticeContext,
+    _check_coords,
     anticanonical,
     canonical_class,
     intersect,
@@ -106,10 +113,7 @@ def simple_roots(ctx: LatticeContext) -> RootSystemData:
     roots = []
     for i in range(1, r):
         roots.append(DivisorClass.exceptional(ctx, i) - DivisorClass.exceptional(ctx, i + 1))
-    chain = DivisorClass.hyperplane(ctx, 1)
-    for j in range(1, ctx.c + 1):
-        chain = chain - DivisorClass.exceptional(ctx, j)
-    roots.append(chain)
+    roots.append(DivisorClass(ctx, (1,) + (0,) * (ctx.a - 2), (1,) * ctx.c + (0,) * ctx.b))
     for j in range(1, ctx.a - 1):
         roots.append(DivisorClass.hyperplane(ctx, j + 1) - DivisorClass.hyperplane(ctx, j))
     cartan = tuple(tuple(-pairing(x, y) for y in roots) for x in roots)
@@ -133,13 +137,10 @@ def reflect(alpha: DivisorClass, d: DivisorClass) -> DivisorClass:
     return d + pairing(d, alpha) * alpha
 
 
-def _curve_dual(alpha: DivisorClass) -> CurveClass:
-    # the curve class g with intersect(D, g) = pairing(D, alpha) for all D
-    ctx = alpha.ctx
-    sp = sum(alpha.h)
-    l = tuple((ctx.c - 1) * sp - p for p in alpha.h)
-    e = tuple(-q for q in alpha.m)
-    return CurveClass(ctx, l, e)
+def _dual(v: DivisorClass) -> tuple:
+    # flat curve coordinates g with intersect(D, g) = pairing(D, v) for every D
+    sp = sum(v.h)
+    return tuple((v.ctx.c - 1) * sp - p for p in v.h) + tuple(-q for q in v.m)
 
 
 def reflect_curve(alpha: DivisorClass, g: CurveClass) -> CurveClass:
@@ -149,21 +150,37 @@ def reflect_curve(alpha: DivisorClass, g: CurveClass) -> CurveClass:
     against reflected divisors are preserved.
     """
     _require_root(alpha)
-    return g + intersect(alpha, g) * _curve_dual(alpha)
+    return g + intersect(alpha, g) * CurveClass.from_coords(alpha.ctx, _dual(alpha))
 
 
-def _bfs_orbit(start, images, cap: int, what: str):
+def _orbit(start: tuple, moves, cap: int, what: str) -> list:
+    """Sorted breadth-first closure of a coordinate tuple under the moves.
+
+    A move (f, v) sends x to x + (x . f) v and is skipped when x . f = 0.
+    More than `cap` distinct tuples raise CapExceeded(what, cap).
+    """
     seen = {start}
     queue = deque([start])
     while queue:
-        cur = queue.popleft()
-        for img in images(cur):
-            if img not in seen:
-                seen.add(img)
-                if len(seen) > cap:
-                    raise CapExceeded(what, cap)
-                queue.append(img)
-    return seen
+        x = queue.popleft()
+        for f, v in moves:
+            k = sum(a * b for a, b in zip(x, f))
+            if k:
+                y = tuple(a + k * b for a, b in zip(x, v))
+                if y not in seen:
+                    seen.add(y)
+                    if len(seen) > cap:
+                        raise CapExceeded(what, cap)
+                    queue.append(y)
+    return sorted(seen)
+
+
+def _check_roots(rs: RootSystemData, ctx: LatticeContext, detail: str):
+    # what reflect and reflect_curve demand of each axis, asked once per orbit
+    for alpha in rs.simple_roots:
+        _require_root(alpha)
+        if alpha.ctx != ctx:
+            raise PreconditionError("ctx", detail)
 
 
 def weyl_orbit(d: DivisorClass, rs: RootSystemData, cap: int | None = None):
@@ -173,18 +190,19 @@ def weyl_orbit(d: DivisorClass, rs: RootSystemData, cap: int | None = None):
     runaway enumeration on infinite-type contexts.
     """
     cap = effective_cap(cap)
-    roots = rs.simple_roots
-    orbit = _bfs_orbit(d, lambda cur: (reflect(a, cur) for a in roots), cap, "weyl_orbit")
-    return tuple(sorted(orbit, key=DivisorClass.sort_key))
+    _check_roots(rs, d.ctx, "divisor classes live in different contexts")
+    moves = [(_dual(alpha), alpha.coords()) for alpha in rs.simple_roots]
+    orbit = _orbit(d.coords(), moves, cap, "weyl_orbit")
+    return tuple(DivisorClass.from_coords(d.ctx, x) for x in orbit)
 
 
 def weyl_orbit_curves(g: CurveClass, rs: RootSystemData, cap: int | None = None):
     """Weyl orbit of a curve class under the induced action, sorted."""
     cap = effective_cap(cap)
-    roots = rs.simple_roots
-    orbit = _bfs_orbit(g, lambda cur: (reflect_curve(a, cur) for a in roots), cap,
-                       "weyl_orbit_curves")
-    return tuple(sorted(orbit, key=CurveClass.sort_key))
+    _check_roots(rs, g.ctx, "divisor and curve live in different contexts")
+    moves = [(alpha.coords(), _dual(alpha)) for alpha in rs.simple_roots]
+    orbit = _orbit(g.coords(), moves, cap, "weyl_orbit_curves")
+    return tuple(CurveClass.from_coords(g.ctx, x) for x in orbit)
 
 
 def weight_coords(d: DivisorClass) -> tuple:
@@ -203,23 +221,16 @@ def _cartan_of(rs) -> tuple:
     """Accept RootSystemData or a bare Cartan matrix (rank-1 test rigs)."""
     if isinstance(rs, RootSystemData):
         return rs.cartan
-    cartan = tuple(tuple(int(v) for v in row) for row in rs)
+    cartan = tuple(tuple(row) for row in rs)
     for i, row in enumerate(cartan):
         if len(row) != len(cartan):
             raise PreconditionError("cartan", "matrix must be square")
+        for v in row:
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise PreconditionError("cartan", f"entries must be integers, got {v!r}")
         if row[i] != 2:
             raise PreconditionError("cartan", f"diagonal entry {i} is {row[i]}, not 2")
     return cartan
-
-
-def _check_weight(w, n: int, name: str) -> tuple:
-    w = tuple(w)
-    if len(w) != n:
-        raise PreconditionError(name, f"expected {n} coordinates, got {len(w)}")
-    for v in w:
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise PreconditionError(name, f"coordinates must be integers, got {v!r}")
-    return w
 
 
 def weights_of_irrep(lam, rs, cap: int | None = None):
@@ -232,7 +243,7 @@ def weights_of_irrep(lam, rs, cap: int | None = None):
     """
     cartan = _cartan_of(rs)
     n = len(cartan)
-    lam = _check_weight(lam, n, "lambda")
+    lam = _check_coords("lambda", lam, n)
     if any(v < 0 for v in lam):
         raise PreconditionError("lambda", f"highest weight must be dominant, got {lam}")
     cap = effective_cap(cap)
@@ -260,16 +271,11 @@ def weyl_orbit_weights(w, rs, cap: int | None = None):
     """
     cartan = _cartan_of(rs)
     n = len(cartan)
-    w = _check_weight(w, n, "weight")
+    w = _check_coords("weight", w, n)
     cap = effective_cap(cap)
-    alpha = [tuple(cartan[j][i] for j in range(n)) for i in range(n)]
-
-    def images(cur):
-        for i in range(n):
-            if cur[i]:
-                yield tuple(x - cur[i] * y for x, y in zip(cur, alpha[i]))
-
-    return tuple(sorted(_bfs_orbit(w, images, cap, "weyl_orbit_weights")))
+    unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    moves = [(unit[i], tuple(-cartan[j][i] for j in range(n))) for i in range(n)]
+    return tuple(_orbit(w, moves, cap, "weyl_orbit_weights"))
 
 
 def _top_weight(ctx: LatticeContext) -> tuple:
@@ -304,20 +310,11 @@ def degree_one_divisors(ctx: LatticeContext, cap: int | None = None):
     k = canonical_class(ctx)
     if pairing(k, k) == 0:
         raise PreconditionError("ctx", "pairing(K, K) = 0")
-    nh = ctx.a - 1
-
-    def functional(v: DivisorClass) -> list:
-        sp = sum(v.h)
-        return [(ctx.c - 1) * sp - p for p in v.h] + [-q for q in v.m]
-
-    rows = [functional(alpha) for alpha in rs.simple_roots]
-    rows.append(functional(anticanonical(ctx)))
-    inv = invert(rows)
+    inv = invert([_dual(v) for v in rs.simple_roots + (anticanonical(ctx),)])
     out = []
     for mu in weights_of_irrep(_top_weight(ctx), rs, cap):
         rhs = list(mu) + [ctx.kappa]
         coords = [sum(row[j] * rhs[j] for j in range(len(rhs))) for row in inv]
         if all(v.denominator == 1 for v in coords):
-            out.append(DivisorClass(ctx, tuple(int(v) for v in coords[:nh]),
-                                    tuple(int(v) for v in coords[nh:])))
-    return tuple(sorted(out, key=DivisorClass.sort_key))
+            out.append(tuple(int(v) for v in coords))
+    return tuple(DivisorClass.from_coords(ctx, x) for x in sorted(out))

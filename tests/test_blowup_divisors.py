@@ -1,6 +1,7 @@
 """Minimal classes, projections, decompositions, membership."""
 
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -23,8 +24,14 @@ from coxforge.picard_lattice import (
     LatticeContext,
     anticanonical,
     degree,
+    intersect,
 )
-from coxforge.root_system import reflect, simple_roots
+from coxforge.root_system import (
+    degree_one_divisors,
+    reflect,
+    simple_roots,
+    weyl_orbit_curves,
+)
 
 BC25 = BlowupContext(2, 5)
 BC36 = BlowupContext(3, 6)
@@ -197,7 +204,6 @@ def test_membership_counterexample_carries_certificate():
     res = eff_membership(d)
     assert not res.member
     assert res.certificate is not None
-    from coxforge.picard_lattice import intersect
     assert intersect(d, res.certificate) < 0
 
 
@@ -236,3 +242,51 @@ def test_decompose_degree1_cap_is_distinct_from_failure():
     ctx = BC36.lattice_context()
     with pytest.raises(CapExceeded):
         decompose_degree1(3 * anticanonical(ctx), cap=3)
+
+
+def test_membership_certificate_is_the_first_violator_in_orbit_order():
+    rng = random.Random(83)
+    for ctx in (BC25.lattice_context(), BC36.lattice_context(), LatticeContext(3, 1, 4)):
+        rs = simple_roots(ctx)
+        f1 = sum((CurveClass.line(ctx, i) for i in range(2, ctx.a)), CurveClass.line(ctx, 1))
+        f1 = f1 - CurveClass.exceptional_line(ctx, 1)
+        f2 = CurveClass.line(ctx, ctx.a - 1)
+        curves = weyl_orbit_curves(f1, rs) + weyl_orbit_curves(f2, rs)
+        violated = 0
+        for _ in range(60):
+            d = DivisorClass(ctx, tuple(rng.randint(0, 3) for _ in range(ctx.a - 1)),
+                             tuple(rng.randint(-2, 3) for _ in range(ctx.r)))
+            first = next((g for g in curves if intersect(d, g) < 0), None)
+            res = eff_membership(d)
+            assert res.member == (first is None)
+            assert res.certificate == first
+            violated += first is not None
+        assert 0 < violated < 60
+
+
+def _degree_one_sums(ctx, k):
+    parts = degree_one_divisors(ctx)
+    return {sum(combo, DivisorClass.zero(ctx))
+            for combo in combinations_with_replacement(parts, k)}
+
+
+def test_decompose_degree1_agrees_with_brute_force_multisets():
+    rng = random.Random(84)
+    ctx = BC25.lattice_context()
+    for k in range(1, 4):
+        sums = _degree_one_sums(ctx, k)
+        targets = sorted(sums, key=DivisorClass.sort_key)[:50]
+        while len(targets) < 120:
+            # degree (3d - sum m) / kappa = k with kappa = 1 on (2, 2, 3)
+            d = rng.randint(0, 3)
+            m = [rng.randint(-1, 2) for _ in range(4)]
+            m.append(3 * d - k - sum(m))
+            targets.append(DivisorClass(ctx, (d,), tuple(m)))
+        for target in targets:
+            parts = decompose_degree1(target)
+            assert (parts is not None) == (target in sums)
+            if parts is not None:
+                assert len(parts) == k
+                assert sum(parts, DivisorClass.zero(ctx)) == target
+                assert all(degree(p) == 1 for p in parts)
+                assert list(parts) == sorted(parts, key=DivisorClass.sort_key)

@@ -128,6 +128,26 @@ def test_substitute_matches_sympy():
         assert to_sympy(got) == sympy.expand(want)
 
 
+
+def test_substitute_raises_each_power_once(monkeypatch):
+    # five distinct (variable, exponent) pairs over five terms that use eight
+    x1 = MultiPoly.variable("x_1")
+    p = X0 ** 2 * Y1 + 3 * X0 ** 2 - X0 * Y1 ** 2 + X0 ** 2 * Y1 ** 2 + x1 ** 3
+    mapping = {"x_0": X0 + 2 * Y1, "y_1": Fraction(1, 2) - x1}
+    want = to_sympy(p).subs({sympy.Symbol(v): to_sympy(MultiPoly.const(0) + img)
+                             for v, img in mapping.items()}, simultaneous=True)
+    calls = []
+    plain_pow = MultiPoly.__pow__
+
+    def counting_pow(self, e):
+        calls.append(e)
+        return plain_pow(self, e)
+
+    monkeypatch.setattr(MultiPoly, "__pow__", counting_pow)
+    got = p.substitute(mapping)
+    assert sorted(calls) == [1, 1, 2, 2, 3]
+    assert to_sympy(got) == sympy.expand(want)
+
 def test_substitute_leaves_other_variables_alone():
     p = X0 * Y1
     assert p.substitute({"x_1": MultiPoly.const(5)}) == p

@@ -142,6 +142,41 @@ def test_mixed_context_arithmetic_rejected():
         random_class(random.Random(0), CTX223) + random_class(random.Random(0), CTX323)
 
 
+
+def test_class_arithmetic_for_divisors_and_curves():
+    rng = random.Random(64)
+    for ctx in (CTX223, CTX323, LatticeContext(4, 1, 3)):
+        d = random_class(rng, ctx)
+        g = CurveClass(ctx, tuple(rng.randint(-3, 3) for _ in range(ctx.a - 1)),
+                       tuple(rng.randint(-3, 3) for _ in range(ctx.r)))
+        for x, (first, second) in ((d, ("h", "m")), (g, ("l", "e"))):
+            cls = type(x)
+            a, b = getattr(x, first), getattr(x, second)
+            assert 3 * x == x * 3 == cls(ctx, tuple(3 * v for v in a), tuple(3 * v for v in b))
+            assert -2 * x == -(x + x)
+            assert x - x == 0 * x
+            assert x.coords() == a + b
+            assert cls.from_coords(ctx, x.coords()) == x
+            assert x.sort_key() == (a, b)
+            for k in (True, False, 1.0, Fraction(2)):
+                with pytest.raises(TypeError):
+                    x * k
+                with pytest.raises(TypeError):
+                    k * x
+        with pytest.raises(TypeError):
+            d + DivisorClass.zero(ctx) + CurveClass.line(ctx)
+
+
+def test_mixed_context_errors_name_the_kind_of_class():
+    d1, d2 = DivisorClass.zero(CTX223), DivisorClass.zero(CTX323)
+    g1, g2 = CurveClass.line(CTX223), CurveClass.line(CTX323)
+    for op in (lambda x, y: x + y, lambda x, y: x - y):
+        for x, y, kind in ((d1, d2, "divisor classes"), (g1, g2, "curve classes")):
+            with pytest.raises(PreconditionError) as err:
+                op(x, y)
+            assert err.value.field == "ctx"
+            assert err.value.detail == f"{kind} live in different contexts"
+
 def test_hdeg_only_for_single_factor():
     assert hdeg(DivisorClass(CTX223, (4,), (0, 0, 0, 0, 0))) == 4
     with pytest.raises(PreconditionError):

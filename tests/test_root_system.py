@@ -16,6 +16,7 @@ from coxforge.picard_lattice import (
     pairing,
 )
 from coxforge.root_system import (
+    RootSystemData,
     degree_one_divisors,
     dynkin_label,
     is_finite_type,
@@ -249,3 +250,103 @@ def test_degree_one_divisors_e7_includes_half_anticanonical():
 def test_degree_one_divisors_really_have_degree_one():
     for ctx in (CTX223, LatticeContext(2, 3, 4)):
         assert all(degree(d) == 1 for d in degree_one_divisors(ctx))
+
+
+def _naive_orbit(start, roots, act, cap):
+    # breadth-first closure over the public, validated reflections
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for alpha in roots:
+                y = act(alpha, x)
+                if y not in seen:
+                    seen.add(y)
+                    if len(seen) > cap:
+                        raise CapExceeded("naive", cap)
+                    nxt.append(y)
+        frontier = nxt
+    return seen
+
+
+# finite contexts with small Weyl groups: a = 2, 3 and 4, types A4, A5, D5, E6
+NAIVE_CONTEXTS = ((2, 1, 3), (2, 2, 3), (3, 1, 2), (3, 1, 3), (4, 1, 2), (2, 3, 3))
+
+
+def test_orbits_match_naive_closure_over_public_reflections():
+    rng = random.Random(74)
+    cap = 400
+    for t in NAIVE_CONTEXTS:
+        ctx = LatticeContext(*t)
+        rs = simple_roots(ctx)
+        nh = ctx.a - 1
+        divisors = [DivisorClass.exceptional(ctx, ctx.r), DivisorClass.hyperplane(ctx, nh)]
+        curves = [CurveClass.exceptional_line(ctx, ctx.r), CurveClass.line(ctx, 1)]
+        for _ in range(4):
+            divisors.append(DivisorClass(ctx, tuple(rng.randint(-1, 2) for _ in range(nh)),
+                                         tuple(rng.choice((0, 0, 1, -1)) for _ in range(ctx.r))))
+            curves.append(CurveClass(ctx, tuple(rng.randint(-1, 2) for _ in range(nh)),
+                                     tuple(rng.choice((0, 0, 1, -1)) for _ in range(ctx.r))))
+        for start, orbit_of, act, key in (
+                *((d, weyl_orbit, reflect, DivisorClass.sort_key) for d in divisors),
+                *((g, weyl_orbit_curves, reflect_curve, CurveClass.sort_key) for g in curves)):
+            try:
+                want = sorted(_naive_orbit(start, rs.simple_roots, act, cap), key=key)
+            except CapExceeded:
+                with pytest.raises(CapExceeded):
+                    orbit_of(start, rs, cap)
+                continue
+            assert list(orbit_of(start, rs, cap)) == want
+
+
+def test_orbit_cap_boundary_for_every_orbit_kind():
+    ctx = CTX223
+    rs = simple_roots(ctx)
+    lam = weight_coords(DivisorClass.exceptional(ctx, 5))
+    cases = ((weyl_orbit, DivisorClass.exceptional(ctx, 5), "weyl_orbit"),
+             (weyl_orbit, DivisorClass(ctx, (1,), (1, 0, 0, 0, 0)), "weyl_orbit"),
+             (weyl_orbit_curves, CurveClass.line(ctx), "weyl_orbit_curves"),
+             (weyl_orbit_weights, lam, "weyl_orbit_weights"),
+             (weyl_orbit_weights, (1, 0, 0, 0, 0), "weyl_orbit_weights"))
+    for orbit_of, start, what in cases:
+        size = len(orbit_of(start, rs))
+        assert len(orbit_of(start, rs, cap=size)) == size
+        with pytest.raises(CapExceeded) as err:
+            orbit_of(start, rs, cap=size - 1)
+        assert (err.value.what, err.value.cap) == (what, size - 1)
+
+
+def test_orbit_errors_match_the_reflections():
+    ctx = CTX223
+    rs = simple_roots(ctx)
+    d = DivisorClass.exceptional(ctx, 5)
+    g = CurveClass.exceptional_line(ctx, 5)
+    other = simple_roots(CTX233)
+    h = DivisorClass.hyperplane(ctx)
+    for roots in ((h,) + rs.simple_roots, rs.simple_roots + (h,)):
+        not_a_root = RootSystemData(ctx, roots, rs.dynkin_label, rs.cartan)
+        for orbit_of, start in ((weyl_orbit, d), (weyl_orbit_curves, g)):
+            with pytest.raises(PreconditionError) as err:
+                orbit_of(start, not_a_root)
+            assert (err.value.field, err.value.detail) == (
+                "alpha", "reflection axis must have self-pairing -2")
+    cases = ((weyl_orbit, reflect, d, "divisor classes live in different contexts"),
+             (weyl_orbit_curves, reflect_curve, g,
+              "divisor and curve live in different contexts"))
+    for orbit_of, act, start, detail in cases:
+        for call in (lambda: orbit_of(start, other), lambda: act(other.simple_roots[0], start)):
+            with pytest.raises(PreconditionError) as err:
+                call()
+            assert (err.value.field, err.value.detail) == ("ctx", detail)
+
+
+def test_bare_cartan_entries_must_be_integers():
+    for lam, cartan in (((2,), [[2.7]]), ((1, 1), [[2, -1.9], [-1, 2]]), ((1,), [["2"]]),
+                        ((1,), [[True]]), ((1, 1), [[2, False], [0, 2]])):
+        for fn in (weights_of_irrep, weyl_orbit_weights):
+            with pytest.raises(PreconditionError) as err:
+                fn(lam, cartan)
+            assert err.value.field == "cartan"
+    assert weights_of_irrep((1,), ((2,),)) == ((-1,), (1,))
+    assert len(weyl_orbit_weights((1, 0), [[2, -1], [-1, 2]])) == 3
