@@ -252,6 +252,14 @@ def eff_membership(d: DivisorClass, cap: int | None = None) -> MembershipResult:
     return MembershipResult(True, None)
 
 
+@lru_cache(maxsize=64)
+def _degree_one_candidates(ctx: LatticeContext, cap: int):
+    # flat coordinate tuples in (-H-degree, coordinates) order
+    nh = ctx.a - 1
+    return tuple(sorted((c.coords() for c in degree_one_divisors(ctx, cap)),
+                        key=lambda x: (-sum(x[:nh]), x)))
+
+
 def decompose_degree1(d: DivisorClass, cap: int | None = None):
     """Write d as a multiset sum of degree-1 classes, or None.
 
@@ -266,9 +274,7 @@ def decompose_degree1(d: DivisorClass, cap: int | None = None):
         raise PreconditionError("D", f"degree must be a nonnegative integer, got {deg}")
     slots = int(deg)
     nh = d.ctx.a - 1
-    # flat coordinate tuples; (-H-degree, coordinates) is the order above
-    candidates = sorted((c.coords() for c in degree_one_divisors(d.ctx)),
-                        key=lambda x: (-sum(x[:nh]), x))
+    candidates = _degree_one_candidates(d.ctx, effective_cap())
     if not candidates:
         return () if d.is_zero() else None
     heights = [sum(x[:nh]) for x in candidates]

@@ -12,6 +12,8 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 
 from .blowup_divisors import (
     BlowupContext,
@@ -22,6 +24,7 @@ from .blowup_divisors import (
     enumerate_minimal,
     project_class,
 )
+from .budget import effective_cap
 from .errors import CapExceeded, CoxforgeError, PreconditionError
 from .multipoly import MultiPoly
 from .nagata_invariants import NagataParams, build_F, divisor_class_of, is_invariant
@@ -300,10 +303,14 @@ def _cmd_invariant(args) -> int:
         _emit(args, {"checked": 1, "invariant": verdict},
               "invariant" if verdict else "NOT invariant")
         return 0
-    from itertools import combinations
+    sizes = range(1, np.r + 1, 2)
+    cap = effective_cap()
+    # F_I has C(|I|, (|I| + 1) / 2) terms; bound their total before building any
+    if sum(comb(np.r, s) * comb(s, (s + 1) // 2) for s in sizes) > cap:
+        raise CapExceeded("determinant terms", cap)
     checked = 0
     good = True
-    for size in range(1, np.r + 1, 2):
+    for size in sizes:
         for idx in combinations(range(1, np.r + 1), size):
             good = good and is_invariant(build_F(idx, np), np)
             checked += 1

@@ -290,17 +290,6 @@ class MultiPoly:
 
     # -- inspection ----------------------------------------------------------
 
-    def total_degree(self) -> int:
-        """Maximum term degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
-
-    def degree_in(self, names) -> int:
-        """Joint degree in a variable or a set of variables; -1 if zero."""
-        if isinstance(names, str):
-            names = (names,)
-        idx = [i for i, n in enumerate(self.vars) if n in names]
-        return max((sum(e[i] for i in idx) for e in self.terms), default=-1)
-
     def sorted_terms(self):
         """Terms in descending graded-lex order as (exps, coef) pairs."""
         return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)

@@ -4,19 +4,31 @@ y_i -> y_i + (t_1 + t_2 a_i) x_i on C[x_1..x_r, y_1..y_r].
 F_I is the determinant of the odd matrix whose top rows run the powers
 a_i^j against x_i and whose bottom rows run them against y_i; the
 substitution adds multiples of x-rows to the y-rows, so every F_I is an
-invariant, an identity this module can verify with t_1, t_2 as genuine
-polynomial variables.  The torus grading (joint (x_i, y_i)-degrees plus
-the x/y bidegree) translates semiinvariants into divisor classes on the
-blow-up of P^n at r = n+3 points.
+invariant.  Laplace expansion along the k+1 x-rows (|I| = 2k+1) writes it
+in closed form, one term per (k+1)-subset S of I:
+
+    F_I = sum_S eps(S) V(a_S) V(a_{I-S}) prod_{i in S} x_i prod_{i in I-S} y_i,
+
+V the Vandermonde product prod_{u<v} (a_v - a_u) and eps(S) =
+(-1)^(sum of the 0-based positions of S in I + k(k+1)/2).  Invariance is
+decided by the two commuting locally nilpotent derivations
+D_1 = sum x_i d/dy_i and D_2 = sum a_i x_i d/dy_i whose exponential is
+the action; `nagata_substitute` applies the action itself, with t_1, t_2
+as genuine polynomial variables.  The torus grading (joint
+(x_i, y_i)-degrees plus the x/y bidegree) translates semiinvariants into
+divisor classes on the blow-up of P^n at r = n+3 points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from math import comb, lcm, prod
 import random
 
-from .errors import PreconditionError
+from .budget import effective_cap
+from .errors import CapExceeded, PreconditionError
 from .jsonutil import decode_fraction, decode_int, encode_fraction
 from .linalg import nullspace
 from .multipoly import MultiPoly
@@ -78,8 +90,17 @@ def build_F(index_set, np: NagataParams) -> MultiPoly:
     """The determinant invariant of an odd index set.
 
     Rows a_i^j x_i for j = 0..k and a_i^j y_i for j = 0..k-1, i running
-    over the sorted indices; |I| = 2k+1.  Cofactor expansion along the
-    first row with minors memoized by column tuple.
+    over the sorted indices; |I| = 2k+1.  Laplace expansion along the k+1
+    x-rows gives one term per (k+1)-subset S of I:
+
+        F_I = sum_S eps(S) V(a_S) V(a_{I-S}) prod_{i in S} x_i prod_{i in I-S} y_i
+
+    where V(a_T) = prod_{u < v in T} (a_v - a_u) is the Vandermonde
+    determinant of the minor and eps(S) = (-1)^(p(S) + k(k+1)/2), p(S)
+    being the sum of the 0-based positions of S in I.  Distinct S give
+    distinct monomials, so there is nothing to collect.  Raises
+    CapExceeded("determinant terms") before any work when the
+    C(2k+1, k+1) terms exceed the cap.
 
     >>> str(build_F((1,), NagataParams.default(5)))
     'x_1'
@@ -90,33 +111,27 @@ def build_F(index_set, np: NagataParams) -> MultiPoly:
     if idx[0] < 1 or idx[-1] > np.r:
         raise PreconditionError("I", f"indices must lie in 1..{np.r}")
     k = (len(idx) - 1) // 2
+    cap = effective_cap()
+    if comb(2 * k + 1, k + 1) > cap:
+        raise CapExceeded("determinant terms", cap)
+    scale = lcm(*(np.params[i - 1].denominator for i in idx))
+    a = [int(np.params[i - 1] * scale) for i in idx]  # a_i * scale, integers
+    denominator = scale ** (k * k)  # V(a_S) V(a_{I-S}) has k^2 factors
 
-    entries = {}
+    def vandermonde(positions) -> int:
+        return prod(a[v] - a[u] for u, v in combinations(positions, 2))
 
-    def entry(row: int, i: int, sign: int) -> MultiPoly:
-        key = (row, i, sign)
-        if key not in entries:
-            a = np.params[i - 1]
-            if row <= k:
-                entries[key] = MultiPoly.monomial({f"x_{i}": 1}, sign * a ** row)
-            else:
-                entries[key] = MultiPoly.monomial({f"y_{i}": 1}, sign * a ** (row - k - 1))
-        return entries[key]
-
-    memo = {}
-
-    def minor(row: int, cols: tuple) -> MultiPoly:
-        if not cols:
-            return MultiPoly.const(1)
-        key = (row, cols)
-        if key not in memo:
-            # the cofactor sign rides on the one-term entry
-            memo[key] = MultiPoly.sum(
-                entry(row, i, -1 if pos % 2 else 1) * minor(row + 1, cols[:pos] + cols[pos + 1:])
-                for pos, i in enumerate(cols))
-        return memo[key]
-
-    return minor(0, tuple(idx))
+    terms = {}
+    for s in combinations(range(len(idx)), k + 1):
+        mask = [0] * len(idx)
+        for p in s:
+            mask[p] = 1
+        rest = [p for p, b in enumerate(mask) if not b]
+        sign = -1 if (sum(s) + k * (k + 1) // 2) % 2 else 1
+        terms[tuple(mask) + tuple(1 - b for b in mask)] = Fraction(
+            sign * vandermonde(s) * vandermonde(rest), denominator)
+    variables = tuple(f"x_{i}" for i in idx) + tuple(f"y_{i}" for i in idx)
+    return MultiPoly._trusted(variables, terms)
 
 
 def _check_t_free(p: MultiPoly):
@@ -135,7 +150,16 @@ def nagata_substitute(p: MultiPoly, np: NagataParams) -> MultiPoly:
 
 
 def is_invariant(p: MultiPoly, np: NagataParams) -> bool:
-    """Exact invariance as a polynomial identity in t_1, t_2.
+    """Exact invariance under the action of `nagata_substitute`.
+
+    The substitution sigma is exp(t_1 D_1 + t_2 D_2) for the derivations
+    D_1 = sum_i x_i d/dy_i and D_2 = sum_i a_i x_i d/dy_i, i = 1..r: both
+    kill every x_i, send y_i to x_i and a_i x_i, and so commute and are
+    locally nilpotent.  The t_1 and t_2 coefficients of sigma(p) - p are
+    D_1 p and D_2 p, so an invariant has D_1 p = D_2 p = 0; conversely
+    then (t_1 D_1 + t_2 D_2) p = 0 and the exponential series over Q
+    fixes p.  Both are computed in one pass over the terms of p; variables
+    other than y_1..y_r (including y_j with j > r) are constants for them.
 
     >>> np5 = NagataParams.default(5)
     >>> is_invariant(build_F((1, 2, 3), np5), np5)
@@ -144,7 +168,29 @@ def is_invariant(p: MultiPoly, np: NagataParams) -> bool:
     False
     """
     _check_t_free(p)
-    return (nagata_substitute(p, np) - p).is_zero()
+    ys = {f"y_{i}": i for i in range(1, np.r + 1)}
+    variables = list(p.vars)  # p's variables, then any x_i it lacks
+    slots = []  # (slot of y_i, slot of x_i, a_i) for each y_i of p
+    for j, name in enumerate(p.vars):
+        if name in ys:
+            x = f"x_{ys[name]}"
+            if x not in variables:
+                variables.append(x)
+            slots.append((j, variables.index(x), np.params[ys[name] - 1]))
+    pad = (0,) * (len(variables) - len(p.vars))
+    d1, d2 = {}, {}
+    for exps, coef in p.terms.items():
+        for j, xj, a in slots:
+            e = exps[j]
+            if not e:
+                continue
+            key = list(exps + pad)
+            key[j] -= 1
+            key[xj] += 1
+            key = tuple(key)
+            d1[key] = d1.get(key, 0) + e * coef
+            d2[key] = d2.get(key, 0) + e * a * coef
+    return not any(d1.values()) and not any(d2.values())
 
 
 def _var_index(name: str) -> int:

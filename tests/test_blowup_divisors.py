@@ -5,6 +5,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from coxforge import blowup_divisors
 from coxforge.blowup_divisors import (
     BlowupContext,
     classify_minimal_projection,
@@ -290,3 +291,23 @@ def test_decompose_degree1_agrees_with_brute_force_multisets():
                 assert sum(parts, DivisorClass.zero(ctx)) == target
                 assert all(degree(p) == 1 for p in parts)
                 assert list(parts) == sorted(parts, key=DivisorClass.sort_key)
+
+
+def test_decompose_degree1_lists_degree_one_classes_once_per_context(monkeypatch):
+    calls = []
+
+    def counted(ctx, cap=None):
+        calls.append((ctx, cap))
+        return degree_one_divisors(ctx, cap)
+
+    monkeypatch.setattr(blowup_divisors, "degree_one_divisors", counted)
+    blowup_divisors._degree_one_candidates.cache_clear()
+    ctx = LatticeContext(2, 2, 3)
+    target = 2 * anticanonical(ctx)
+    first = decompose_degree1(target)
+    assert decompose_degree1(target) == first
+    assert decompose_degree1(anticanonical(ctx)) is not None
+    assert len(calls) == 1
+    monkeypatch.setenv("COXFORGE_CAP", "5000")
+    assert decompose_degree1(target) == first
+    assert calls == [(ctx, 10 ** 6), (ctx, 5000)]

@@ -183,6 +183,22 @@ def test_cap_exit_2_with_payload(capsys, monkeypatch):
     assert json.loads(err)["error"]["cap"] == 5
 
 
+def test_invariant_check_all_bounds_its_terms(capsys, monkeypatch):
+    # r = 5: 5 * 1 + 10 * 3 + 1 * 10 = 45 determinant terms
+    monkeypatch.setenv("COXFORGE_CAP", "45")
+    payload = run_json(capsys, "invariant", "check", "--all", "--r", "5")
+    assert payload == {"checked": 16, "invariant": True}
+    monkeypatch.setenv("COXFORGE_CAP", "44")
+    code, out, err = run(capsys, "invariant", "check", "--all", "--r", "5")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": {"cap": 44, "type": "cap", "what": "determinant terms"}}
+    monkeypatch.delenv("COXFORGE_CAP")
+    code, _, err = run(capsys, "invariant", "check", "--all", "--r", "40")
+    assert code == 2 and json.loads(err)["error"]["what"] == "determinant terms"
+    code, _, err = run(capsys, "invariant", "build", "-I", ",".join(map(str, range(1, 24))))
+    assert code == 2 and json.loads(err)["error"]["cap"] == 10 ** 6
+
+
 def test_module_entry_point():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)

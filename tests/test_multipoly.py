@@ -165,14 +165,6 @@ def test_evaluate_matches_sympy():
         assert sympy.Rational(got.numerator, got.denominator) == want
 
 
-def test_degrees():
-    p = X0 * X0 * X1 + Y1
-    assert p.total_degree() == 3
-    assert p.degree_in(("x_0",)) == 2
-    assert p.degree_in(("y_1",)) == 1
-    assert MultiPoly.zero().total_degree() == -1
-
-
 def test_leading_is_graded_lex_maximum():
     p = X0 ** 2 + X0 * X1 + X1
     exps, coef = p.leading()

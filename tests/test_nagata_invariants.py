@@ -5,9 +5,11 @@ from itertools import combinations
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxforge.blowup_divisors import BlowupContext, enumerate_minimal
-from coxforge.errors import PreconditionError
+from coxforge.errors import CapExceeded, PreconditionError
 from coxforge.multipoly import MultiPoly
 from coxforge.nagata_invariants import (
     NagataParams,
@@ -52,6 +54,36 @@ def det_oracle(index_set, np):
     return sympy.expand(sympy.Matrix(rows).det())
 
 
+def cofactor_expansion(index_set, np):
+    """F_I by cofactor expansion along the first row, minors memoized by
+    column tuple: the same matrix as `det_oracle`, expanded in MultiPoly."""
+    idx = sorted(set(index_set))
+    k = (len(idx) - 1) // 2
+
+    def entry(row, i):
+        a = np.params[i - 1]
+        if row <= k:
+            return MultiPoly.monomial({f"x_{i}": 1}, a ** row)
+        return MultiPoly.monomial({f"y_{i}": 1}, a ** (row - k - 1))
+
+    memo = {}
+
+    def minor(row, cols):
+        if not cols:
+            return MultiPoly.const(1)
+        if (row, cols) not in memo:
+            memo[row, cols] = MultiPoly.sum(
+                (-1) ** pos * entry(row, i) * minor(row + 1, cols[:pos] + cols[pos + 1:])
+                for pos, i in enumerate(cols))
+        return memo[row, cols]
+
+    return minor(0, tuple(idx))
+
+
+def odd_sets(r):
+    return [idx for size in range(1, r + 1, 2) for idx in combinations(range(1, r + 1), size)]
+
+
 def test_params_validation():
     with pytest.raises(PreconditionError):
         NagataParams(4, (1, 2, 3, 4))
@@ -67,14 +99,37 @@ def test_params_validation():
 
 
 def test_build_F_guards():
+    cases = [((1, 2), "need an odd number of indices, got 2"),
+             ((), "need an odd number of indices, got 0"),
+             ((0, 1, 2), "indices must lie in 1..5"),
+             ((1, 2, 6), "indices must lie in 1..5")]
+    for idx, detail in cases:
+        with pytest.raises(PreconditionError) as err:
+            build_F(idx, NP5)
+        assert (err.value.field, err.value.detail) == ("I", detail)
+
+
+def test_build_F_cap_boundary(monkeypatch):
+    # |I| = 5 gives C(5, 3) = 10 terms
+    monkeypatch.setenv("COXFORGE_CAP", "10")
+    assert len(build_F((1, 2, 3, 4, 5), NP5).terms) == 10
+    monkeypatch.setenv("COXFORGE_CAP", "9")
+    with pytest.raises(CapExceeded) as err:
+        build_F((1, 2, 3, 4, 5), NP5)
+    assert (err.value.what, err.value.cap) == ("determinant terms", 9)
     with pytest.raises(PreconditionError):
-        build_F((1, 2), NP5)
-    with pytest.raises(PreconditionError):
-        build_F((), NP5)
-    with pytest.raises(PreconditionError):
-        build_F((0, 1, 2), NP5)
-    with pytest.raises(PreconditionError):
-        build_F((1, 2, 6), NP5)
+        build_F((1, 2), NP5)  # guards come before the cap
+    monkeypatch.delenv("COXFORGE_CAP")
+    with pytest.raises(CapExceeded):
+        build_F(range(1, 24), NagataParams.default(23))  # C(23, 12) > 10^6
+
+
+def test_build_F_matches_cofactor_expansion():
+    for np in (NagataParams.default(7), NagataParams.random(7, 41)):
+        for idx in odd_sets(7):
+            f, g = build_F(idx, np), cofactor_expansion(idx, np)
+            assert (f.vars, f.terms, str(f)) == (g.vars, g.terms, str(g))
+            assert all(type(c) is Fraction for c in f.terms.values())
 
 
 def test_build_F_matches_determinant_oracle():
@@ -106,6 +161,8 @@ def test_substitution_and_invariance():
     assert nagata_substitute(x1 ** 3, NP5) == x1 ** 3
     with pytest.raises(PreconditionError):
         nagata_substitute(t1 * x1, NP5)
+    with pytest.raises(PreconditionError):
+        is_invariant(x1 + t2, NP5)
     assert not is_invariant(y1, NP5)
     assert is_invariant(x1, NP5)
 
@@ -116,6 +173,64 @@ def test_every_determinant_is_invariant():
             assert is_invariant(build_F(idx, NP5), NP5)
     rnd = NagataParams.random(5, 29)
     assert is_invariant(build_F((1, 3, 5), rnd), rnd)
+
+
+PROPERTY_PARAMS = (NP5, NagataParams.random(5, 31), NagataParams.random(6, 47))
+INVARIANT_KINDS = ("sum", "product", "beyond", "z", "zero")
+
+
+@st.composite
+def polys_under_the_action(draw):
+    """(kind, p, params): p built from determinants, stray y_j, z variables
+    and y_j with j > r, or a small random x/y polynomial."""
+    np = draw(st.sampled_from(PROPERTY_PARAMS))
+    r = np.r
+    var = MultiPoly.variable
+
+    def det():
+        return build_F(draw(st.sampled_from(odd_sets(r))), np)
+
+    j = draw(st.integers(1, r))
+    c = draw(st.sampled_from((-3, -1, 1, 2, Fraction(1, 2))))
+    e = draw(st.integers(1, 3))
+    k = j % r + 1
+    kind = draw(st.sampled_from(INVARIANT_KINDS + ("plus", "times", "lone_y", "pair", "random")))
+    if kind == "sum":
+        p = det() + c * det()
+    elif kind == "product":
+        p = det() * det()
+    elif kind == "beyond":  # y_{r+1} is not moved by the action
+        p = det() * var(f"y_{r + 1}") ** e + c * var(f"y_{r + 1}")
+    elif kind == "z":
+        p = det() * var("z_0") ** e + c * var("z_1")
+    elif kind == "zero":
+        p = det() - det() if draw(st.booleans()) else MultiPoly.zero()
+    elif kind == "plus":
+        p = det() + c * var(f"y_{j}")
+    elif kind == "times":
+        p = det() * var(f"y_{j}") ** e
+    elif kind == "lone_y":  # no x_j anywhere in p
+        p = var(f"y_{j}") ** e * var(f"x_{k}") + c * var("z_0") * var(f"y_{j}")
+    elif kind == "pair":  # killed by one of D_1, D_2 but not by the other
+        b, b2 = (np.params[k - 1], np.params[j - 1]) if draw(st.booleans()) else (1, 1)
+        p = det() * (b * var(f"x_{k}") * var(f"y_{j}") - b2 * var(f"x_{j}") * var(f"y_{k}"))
+    else:
+        names = [f"{h}_{i}" for h in "xy" for i in (1, 2, 3)]
+        p = MultiPoly.sum(
+            MultiPoly.monomial({v: draw(st.integers(0, 2)) for v in names},
+                               draw(st.integers(-2, 2)))
+            for _ in range(draw(st.integers(1, 4))))
+    return kind, p, np
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys_under_the_action())
+def test_invariance_matches_the_substitution(case):
+    kind, p, np = case
+    verdict = is_invariant(p, np)
+    assert verdict == (nagata_substitute(p, np) - p).is_zero()
+    if kind in INVARIANT_KINDS:
+        assert verdict
 
 
 def test_torus_weight_values():
