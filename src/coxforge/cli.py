@@ -27,7 +27,13 @@ from .blowup_divisors import (
 from .budget import effective_cap
 from .errors import CapExceeded, CoxforgeError, PreconditionError
 from .multipoly import MultiPoly
-from .nagata_invariants import NagataParams, build_F, divisor_class_of, is_invariant
+from .nagata_invariants import (
+    NagataParams,
+    _odd_index_set,
+    build_F,
+    divisor_class_of,
+    is_invariant,
+)
 from .picard_lattice import DivisorClass, LatticeContext, format_curve, format_divisor
 from .root_system import (
     degree_one_divisors,
@@ -285,32 +291,34 @@ def _nagata_params(args, smallest: int = 5) -> NagataParams:
 
 def _cmd_invariant(args) -> int:
     np = _nagata_params(args)
+    every = args.action == "check" and (args.all or not args.indices)
+    if every:
+        counts = {s: comb(np.r, s) for s in range(1, np.r + 1, 2)}
+    elif args.indices:
+        counts = {len(_odd_index_set(args.indices, np)): 1}
+    else:
+        raise PreconditionError("I", "an index set is required")
+    cap = effective_cap(args.cap)
+    # F_I has C(|I|, (|I| + 1) / 2) terms; bound their total before building any
+    if sum(c * comb(s, (s + 1) // 2) for s, c in counts.items()) > cap:
+        raise CapExceeded("determinant terms", cap)
     if args.action == "build":
-        if not args.indices:
-            raise PreconditionError("I", "an index set is required")
         f = build_F(args.indices, np)
         _emit(args, f.to_json(), str(f))
         return 0
     if args.action == "class":
-        if not args.indices:
-            raise PreconditionError("I", "an index set is required")
         n = args.n if args.n is not None else np.r - 3
         d = divisor_class_of(build_F(args.indices, np), n)
         _emit(args, d.to_json(), format_divisor(d))
         return 0
-    if args.indices and not args.all:
+    if not every:
         verdict = is_invariant(build_F(args.indices, np), np)
         _emit(args, {"checked": 1, "invariant": verdict},
               "invariant" if verdict else "NOT invariant")
         return 0
-    sizes = range(1, np.r + 1, 2)
-    cap = effective_cap()
-    # F_I has C(|I|, (|I| + 1) / 2) terms; bound their total before building any
-    if sum(comb(np.r, s) * comb(s, (s + 1) // 2) for s in sizes) > cap:
-        raise CapExceeded("determinant terms", cap)
     checked = 0
     good = True
-    for size in sizes:
+    for size in counts:
         for idx in combinations(range(1, np.r + 1), size):
             good = good and is_invariant(build_F(idx, np), np)
             checked += 1

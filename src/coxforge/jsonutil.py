@@ -47,3 +47,11 @@ def decode_fraction(v) -> Fraction:
         except (ValueError, ZeroDivisionError):
             raise PreconditionError("rational", f"not a rational: {v!r}") from None
     raise PreconditionError("rational", f"expected a rational string, got {v!r}")
+
+
+def decode_list(v, decode, field: str) -> tuple:
+    """`decode` applied to each entry of a JSON array; `field` names the
+    object whose array it is."""
+    if not isinstance(v, list):
+        raise PreconditionError(field, f"expected a list, got {v!r}")
+    return tuple(map(decode, v))

@@ -29,7 +29,7 @@ import random
 
 from .budget import effective_cap
 from .errors import CapExceeded, PreconditionError
-from .jsonutil import decode_fraction, decode_int, encode_fraction
+from .jsonutil import decode_fraction, decode_int, decode_list, encode_fraction
 from .linalg import nullspace
 from .multipoly import MultiPoly
 from .picard_lattice import DivisorClass, LatticeContext
@@ -73,7 +73,7 @@ class NagataParams:
             raise PreconditionError("params", f"expected an object, got {obj!r}")
         try:
             return cls(decode_int(obj["r"]),
-                       tuple(decode_fraction(v) for v in obj["params"]))
+                       decode_list(obj["params"], decode_fraction, "params"))
         except KeyError as missing:
             raise PreconditionError("params", f"missing key {missing.args[0]!r}") from None
 
@@ -84,6 +84,16 @@ def _x(i: int) -> MultiPoly:
 
 def _y(i: int) -> MultiPoly:
     return MultiPoly.variable(f"y_{i}")
+
+
+def _odd_index_set(index_set, np: NagataParams) -> list:
+    """The sorted distinct indices of an odd index set within 1..r."""
+    idx = sorted(set(index_set))
+    if not idx or len(idx) % 2 == 0:
+        raise PreconditionError("I", f"need an odd number of indices, got {len(idx)}")
+    if idx[0] < 1 or idx[-1] > np.r:
+        raise PreconditionError("I", f"indices must lie in 1..{np.r}")
+    return idx
 
 
 def build_F(index_set, np: NagataParams) -> MultiPoly:
@@ -105,11 +115,7 @@ def build_F(index_set, np: NagataParams) -> MultiPoly:
     >>> str(build_F((1,), NagataParams.default(5)))
     'x_1'
     """
-    idx = sorted(set(index_set))
-    if not idx or len(idx) % 2 == 0:
-        raise PreconditionError("I", f"need an odd number of indices, got {len(idx)}")
-    if idx[0] < 1 or idx[-1] > np.r:
-        raise PreconditionError("I", f"indices must lie in 1..{np.r}")
+    idx = _odd_index_set(index_set, np)
     k = (len(idx) - 1) // 2
     cap = effective_cap()
     if comb(2 * k + 1, k + 1) > cap:

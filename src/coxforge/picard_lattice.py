@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .jsonutil import decode_int, encode_int
+from .jsonutil import decode_int, decode_list, encode_int
 
 
 @dataclass(frozen=True, order=True)
@@ -223,8 +223,8 @@ class DivisorClass(_LatticeVector):
             raise PreconditionError("divisor", f"expected an object, got {obj!r}")
         try:
             ctx = LatticeContext.from_json(obj["ctx"])
-            return cls(ctx, tuple(decode_int(v) for v in obj["h"]),
-                       tuple(decode_int(v) for v in obj["m"]))
+            return cls(ctx, decode_list(obj["h"], decode_int, "divisor"),
+                       decode_list(obj["m"], decode_int, "divisor"))
         except KeyError as missing:
             raise PreconditionError("divisor", f"missing key {missing.args[0]!r}") from None
 
@@ -263,8 +263,8 @@ class CurveClass(_LatticeVector):
         if not isinstance(obj, dict):
             raise PreconditionError("curve", f"expected an object, got {obj!r}")
         try:
-            return cls(ctx, tuple(decode_int(v) for v in obj["l"]),
-                       tuple(decode_int(v) for v in obj["e"]))
+            return cls(ctx, decode_list(obj["l"], decode_int, "curve"),
+                       decode_list(obj["e"], decode_int, "curve"))
         except KeyError as missing:
             raise PreconditionError("curve", f"missing key {missing.args[0]!r}") from None
 

@@ -197,6 +197,17 @@ def test_invariant_check_all_bounds_its_terms(capsys, monkeypatch):
     assert code == 2 and json.loads(err)["error"]["what"] == "determinant terms"
     code, _, err = run(capsys, "invariant", "build", "-I", ",".join(map(str, range(1, 24))))
     assert code == 2 and json.loads(err)["error"]["cap"] == 10 ** 6
+    # --cap bounds the same count
+    payload = run_json(capsys, "invariant", "check", "--all", "--r", "5", "--cap", "45")
+    assert payload == {"checked": 16, "invariant": True}
+    code, out, err = run(capsys, "invariant", "check", "--all", "--r", "5", "--cap", "44")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": {"cap": 44, "type": "cap", "what": "determinant terms"}}
+    code, _, err = run(capsys, "invariant", "build", "-I", "1,2,3", "--cap", "2")
+    assert code == 2 and json.loads(err)["error"]["cap"] == 2
+    # a malformed index set is reported before the count
+    code, _, err = run(capsys, "invariant", "build", "-I", "1,2", "--cap", "1")
+    assert code == 1 and json.loads(err)["error"]["field"] == "I"
 
 
 def test_module_entry_point():

@@ -93,6 +93,10 @@ def test_params_validation():
         NagataParams(5, (1, 1, 2, 3, 4))
     with pytest.raises(PreconditionError):
         NagataParams.from_json([1, 2])
+    for bad in ({"r": 5, "params": 5}, {"r": 5, "params": "12345"}):
+        with pytest.raises(PreconditionError) as err:
+            NagataParams.from_json(bad)
+        assert err.value.field == "params"
     assert NagataParams.from_json(NP6.to_json()) == NP6
     assert NagataParams.random(5, 9) == NagataParams.random(5, 9)
     assert len(set(NagataParams.random(5, 9).params)) == 5

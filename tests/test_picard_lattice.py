@@ -192,6 +192,14 @@ def test_json_round_trips():
         g = CurveClass(ctx, tuple(rng.randint(-2, 2) for _ in range(ctx.a - 1)),
                        tuple(rng.randint(-2, 2) for _ in range(ctx.r)))
         assert CurveClass.from_json(g.to_json(), ctx) == g
+        for key, bad in (("h", 3), ("m", "12345"), ("m", None)):
+            with pytest.raises(PreconditionError) as err:
+                DivisorClass.from_json({**d.to_json(), key: bad})
+            assert err.value.field == "divisor"
+        for key, bad in (("l", 1), ("e", "0")):
+            with pytest.raises(PreconditionError) as err:
+                CurveClass.from_json({**g.to_json(), key: bad}, ctx)
+            assert err.value.field == "curve"
 
 
 def test_format_divisor_readable():

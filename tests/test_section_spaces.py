@@ -2,16 +2,17 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
-from math import comb, inf
+from itertools import combinations, combinations_with_replacement
+from math import comb, inf, prod
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxforge.blowup_divisors import mult_lower_bound
+from coxforge.blowup_divisors import enumerate_minimal, mult_lower_bound
 from coxforge.errors import CapExceeded, PreconditionError
+from coxforge.linalg import rank
 from coxforge.multipoly import MultiPoly
 from coxforge.picard_lattice import DivisorClass, anticanonical, hdeg
 from coxforge.section_spaces import (
@@ -87,6 +88,10 @@ def test_point_config_validation():
     with pytest.raises(PreconditionError):
         PointConfig(2, 4, (1, 2, 3, 4))
     assert PointConfig.from_json(CFG36.to_json()) == CFG36
+    for bad in ({"n": 2, "r": 5, "params": 5}, {"n": 2, "r": 5, "params": "12345"}):
+        with pytest.raises(PreconditionError) as err:
+            PointConfig.from_json(bad)
+        assert err.value.field == "config"
 
 
 def test_point_config_random_is_deterministic():
@@ -273,6 +278,76 @@ def test_generation_caps_and_bounds():
     cfg58 = PointConfig.default(5, 8)
     with pytest.raises(PreconditionError):
         generation_test(DivisorClass.hyperplane(cfg58.lattice_context()), cfg58)
+
+
+# (class, configuration, v): cap = v passes and cap = v - 1 raises; these pin
+# the rank after every product, so a span that fills early or late fails
+RAT26 = PointConfig.random(2, 6, 11)
+RAT37 = PointConfig.random(3, 7, 5)
+MINIMAL_PASSING_CAPS = (
+    ((3,), (1, 1, 1, 1, 1), CFG25, 43),
+    ((3,), (2, 2, 1, 1, 1, 0), CFG36, 238),
+    ((2,), (1, 1, 1, 1, 1, 0, 0), PointConfig.default(4, 7), 185),
+    ((4,), (2, 2, 1, 1, 1, 1), RAT26, 226),
+    ((3,), (2, 1, 1, 1, 1, 0, 0), RAT37, 781),
+)
+
+
+def test_generation_minimal_passing_caps_are_frozen():
+    assert any(a.denominator > 1 for a in RAT26.params)
+    assert any(a.denominator > 1 for a in RAT37.params)
+    for h, m, cfg, v in MINIMAL_PASSING_CAPS:
+        d = DivisorClass(cfg.lattice_context(), h, m)
+        rep = generation_test(d, cfg, cap=v)
+        assert rep.generated and rep.span_dim == rep.h0
+        with pytest.raises(CapExceeded):
+            generation_test(d, cfg, cap=v - 1)
+
+
+def test_principal_lattice_is_unisolvent():
+    # the values at (1, e_1, .., e_n), e of degree d, determine a degree-d form
+    for n, dmax in ((2, 8), (3, 5), (4, 4)):
+        for d in range(dmax + 1):
+            monos = monomial_exponents(n, d)
+            grid = [(1,) + e[1:] for e in monos]
+            matrix = [[prod(q ** g for q, g in zip(point, mono)) for mono in monos]
+                      for point in grid]
+            assert rank(matrix) == len(monos)
+
+
+def coefficient_row(f, n, deg):
+    coefs = {}
+    for exps, coef in f.terms.items():
+        full = [0] * (n + 1)
+        for name, e in zip(f.vars, exps):
+            full[int(name.partition("_")[2])] = e
+        coefs[tuple(full)] = coef
+    return [coefs.get(g, 0) for g in monomial_exponents(n, deg)]
+
+
+def test_generation_span_matches_coefficient_products():
+    # every qualifying product of minimal sections, multiplied as polynomials
+    cases = (
+        (CFG25, (3,), (1, 1, 1, 1, 1)),
+        (CFG25, (2,), (1, 1, 0, 0, 0)),
+        (CFG25, (3,), (2, 1, 1, 1, 0)),
+        (CFG36, (2,), (1, 1, 1, 1, 0, 0)),
+        (RAT26, (3,), (2, 1, 1, 1, 0, 0)),
+    )
+    for cfg, h, m in cases:
+        d = DivisorClass(cfg.lattice_context(), h, m)
+        gens = enumerate_minimal(cfg.blowup_context())
+        rows = []
+        for size in range(1, h[0] + 1):
+            for parts in combinations_with_replacement(gens, size):
+                cover = [sum(g.m[i] for g in parts) for i in range(cfg.r)]
+                degree = sum(hdeg(g) for g in parts)
+                if degree == h[0] and all(c >= v for c, v in zip(cover, m)):
+                    f = prod((section_of(g, cfg) for g in parts), start=MultiPoly.const(1))
+                    rows.append(coefficient_row(f, cfg.n, h[0]))
+        rep = generation_test(d, cfg)
+        assert rank(rows) == rep.span_dim
+        assert (rep.span_dim == h0(d, cfg)) == rep.generated
 
 
 # -- multiplicities against symbolic expansion -------------------------------
