@@ -6,7 +6,10 @@ projective space; this module houses their minimal divisors kH - k sum_I E
 - (k-1) sum_{I^c} E, the restriction of classes to one dimension lower,
 multiplicity bounds along the curve, the row-major table decomposition of
 effective classes into hyperplane pieces, and effective-cone membership by
-Weyl translates of the two nef-curve inequalities.
+Weyl translates of the two nef-curve inequalities.  Each nef curve's orbit
+is cached on its own, per (context, curve, cap): the degree-one
+decomposition prunes with the orbit of f1 alone (240 curves on E8) and
+never builds that of f2 (17,280 curves on E8), which membership also needs.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from operator import mul
 
 from .budget import effective_cap
 from .errors import CapExceeded, PreconditionError
@@ -227,27 +231,31 @@ class MembershipResult:
         return self.member
 
 
-@lru_cache(maxsize=64)
-def _nef_orbits(ctx: LatticeContext, cap: int):
-    # the two sorted orbits as flat coordinate tuples
+@lru_cache(maxsize=128)
+def _nef_orbit(ctx: LatticeContext, curve: str, cap: int) -> tuple:
+    # the sorted Weyl orbit of the nef curve "f1" = sum l_i - e_1 or
+    # "f2" = l_{a-1}, as flat coordinate tuples
     rs = simple_roots(ctx)
     if rs.dynkin_label == "INFINITE":
         raise PreconditionError("ctx", "finite type required")
-    f1 = CurveClass(ctx, (1,) * (ctx.a - 1), (-1,) + (0,) * (ctx.r - 1))  # sum l_i - e_1
-    f2 = CurveClass.line(ctx, ctx.a - 1)
-    return tuple(tuple(g.coords() for g in weyl_orbit_curves(f, rs, cap)) for f in (f1, f2))
+    if curve == "f1":
+        f = CurveClass(ctx, (1,) * (ctx.a - 1), (-1,) + (0,) * (ctx.r - 1))
+    else:
+        f = CurveClass.line(ctx, ctx.a - 1)
+    return tuple(g.coords() for g in weyl_orbit_curves(f, rs, cap))
 
 
 def eff_membership(d: DivisorClass, cap: int | None = None) -> MembershipResult:
     """Effective-cone test: d . g >= 0 for every Weyl translate g of the
-    two nef curve classes.  The first violating g (in sorted orbit order)
-    is returned as the certificate.
+    two nef curve classes.  The first violating g (in sorted orbit order,
+    f1's orbit before f2's) is returned as the certificate.
     """
-    orbits = _nef_orbits(d.ctx, effective_cap(cap))
+    cap = effective_cap(cap)
+    orbits = [_nef_orbit(d.ctx, curve, cap) for curve in ("f1", "f2")]
     x = d.coords()
     for orbit in orbits:
         for g in orbit:
-            if sum(a * b for a, b in zip(x, g)) < 0:
+            if sum(map(mul, x, g)) < 0:
                 return MembershipResult(False, CurveClass.from_coords(d.ctx, g))
     return MembershipResult(True, None)
 
@@ -267,6 +275,14 @@ def decompose_degree1(d: DivisorClass, cap: int | None = None):
     total H-degree, choosing candidates with non-decreasing index so each
     multiset is visited once.  Exhausting the node budget raises, which is
     distinct from a completed search returning None.
+
+    A node is dropped, remembered as dead and not counted against the cap
+    when its remainder x has x . g < 0 for some g in the Weyl orbit of the
+    nef curve f1 = sum l_i - e_1.  Every degree-1 class is effective, so it
+    pairs nonnegatively with every such g; the pairing is linear, so every
+    sum of degree-1 classes does too, and a dropped subtree holds no
+    answer.  The DFS order, the candidate list and the first answer found
+    are those of the search without the prune; only the node count falls.
     """
     cap = effective_cap(cap)
     deg = degree(d)
@@ -277,6 +293,7 @@ def decompose_degree1(d: DivisorClass, cap: int | None = None):
     candidates = _degree_one_candidates(d.ctx, effective_cap())
     if not candidates:
         return () if d.is_zero() else None
+    walls = _nef_orbit(d.ctx, "f1", effective_cap())
     heights = [sum(x[:nh]) for x in candidates]
     min_h = heights[-1]
     nodes = 0
@@ -288,6 +305,9 @@ def decompose_degree1(d: DivisorClass, cap: int | None = None):
             return () if not any(remaining) else None
         key = (i, remaining)
         if key in dead:
+            return None
+        if any(sum(map(mul, remaining, g)) < 0 for g in walls):
+            dead.add(key)
             return None
         nodes += 1
         if nodes > cap:

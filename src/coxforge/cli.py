@@ -303,16 +303,16 @@ def _cmd_invariant(args) -> int:
     if sum(c * comb(s, (s + 1) // 2) for s, c in counts.items()) > cap:
         raise CapExceeded("determinant terms", cap)
     if args.action == "build":
-        f = build_F(args.indices, np)
+        f = build_F(args.indices, np, cap)
         _emit(args, f.to_json(), str(f))
         return 0
     if args.action == "class":
         n = args.n if args.n is not None else np.r - 3
-        d = divisor_class_of(build_F(args.indices, np), n)
+        d = divisor_class_of(build_F(args.indices, np, cap), n)
         _emit(args, d.to_json(), format_divisor(d))
         return 0
     if not every:
-        verdict = is_invariant(build_F(args.indices, np), np)
+        verdict = is_invariant(build_F(args.indices, np, cap), np)
         _emit(args, {"checked": 1, "invariant": verdict},
               "invariant" if verdict else "NOT invariant")
         return 0
@@ -320,7 +320,7 @@ def _cmd_invariant(args) -> int:
     good = True
     for size in counts:
         for idx in combinations(range(1, np.r + 1), size):
-            good = good and is_invariant(build_F(idx, np), np)
+            good = good and is_invariant(build_F(idx, np, cap), np)
             checked += 1
     _emit(args, {"checked": checked, "invariant": good},
           f"{checked} invariants verified" if good

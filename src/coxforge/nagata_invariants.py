@@ -96,7 +96,7 @@ def _odd_index_set(index_set, np: NagataParams) -> list:
     return idx
 
 
-def build_F(index_set, np: NagataParams) -> MultiPoly:
+def build_F(index_set, np: NagataParams, cap: int | None = None) -> MultiPoly:
     """The determinant invariant of an odd index set.
 
     Rows a_i^j x_i for j = 0..k and a_i^j y_i for j = 0..k-1, i running
@@ -110,14 +110,14 @@ def build_F(index_set, np: NagataParams) -> MultiPoly:
     being the sum of the 0-based positions of S in I.  Distinct S give
     distinct monomials, so there is nothing to collect.  Raises
     CapExceeded("determinant terms") before any work when the
-    C(2k+1, k+1) terms exceed the cap.
+    C(2k+1, k+1) terms exceed the cap (`effective_cap(cap)`).
 
     >>> str(build_F((1,), NagataParams.default(5)))
     'x_1'
     """
     idx = _odd_index_set(index_set, np)
     k = (len(idx) - 1) // 2
-    cap = effective_cap()
+    cap = effective_cap(cap)
     if comb(2 * k + 1, k + 1) > cap:
         raise CapExceeded("determinant terms", cap)
     scale = lcm(*(np.params[i - 1].denominator for i in idx))

@@ -311,3 +311,108 @@ def test_decompose_degree1_lists_degree_one_classes_once_per_context(monkeypatch
     monkeypatch.setenv("COXFORGE_CAP", "5000")
     assert decompose_degree1(target) == first
     assert calls == [(ctx, 10 ** 6), (ctx, 5000)]
+
+
+def _unpruned_decompose(d):
+    # the search without the cone prune, as coordinate tuples: the oracle
+    # for the first answer of decompose_degree1
+    nh = d.ctx.a - 1
+    candidates = sorted((c.coords() for c in degree_one_divisors(d.ctx)),
+                        key=lambda x: (-sum(x[:nh]), x))
+    heights = [sum(x[:nh]) for x in candidates]
+    dead = set()
+
+    def search(i, remaining, slots):
+        if slots == 0:
+            return () if not any(remaining) else None
+        if (i, remaining) in dead:
+            return None
+        want = sum(remaining[:nh])
+        if want >= heights[-1] * slots:
+            for j in range(i, len(candidates)):
+                if heights[j] * slots < want:
+                    break
+                rest = search(j, tuple(a - b for a, b in zip(remaining, candidates[j])), slots - 1)
+                if rest is not None:
+                    return (candidates[j],) + rest
+        dead.add((i, remaining))
+        return None
+
+    found = search(0, d.coords(), int(degree(d)))
+    return None if found is None else tuple(DivisorClass.from_coords(d.ctx, x) for x in sorted(found))
+
+
+def _f1_walls(ctx):
+    f1 = sum((CurveClass.line(ctx, i) for i in range(2, ctx.a)), CurveClass.line(ctx, 1))
+    return weyl_orbit_curves(f1 - CurveClass.exceptional_line(ctx, 1), simple_roots(ctx))
+
+
+PRUNE_CONTEXTS = ((2, 2, 3), (2, 2, 4), (2, 3, 3), (3, 1, 3))
+
+
+def test_decompose_degree1_first_answer_matches_the_unpruned_search():
+    rng = random.Random(85)
+    found = missing = 0
+    for triple in PRUNE_CONTEXTS:
+        ctx = LatticeContext(*triple)
+        parts = degree_one_divisors(ctx)
+        roots = simple_roots(ctx).simple_roots
+        targets = [k * anticanonical(ctx) for k in range(1, 5)]
+        for _ in range(30):
+            # k random degree-1 classes moved by a few roots: degree k, often
+            # outside the cone, sometimes a sum of other degree-1 classes
+            k = rng.randint(1, 4)
+            target = sum(rng.choices(parts, k=k), DivisorClass.zero(ctx))
+            for _ in range(rng.randint(1, 4)):
+                target = target + rng.choice((-2, -1, 1, 2)) * rng.choice(roots)
+            targets.append(target)
+        for target in targets:
+            expected = _unpruned_decompose(target)
+            assert decompose_degree1(target) == expected, target
+            found += expected is not None
+            missing += expected is None
+    assert found > 20 and missing > found
+
+
+def test_degree_one_classes_pair_nonnegatively_with_the_f1_walls():
+    # the soundness of the prune in decompose_degree1
+    for triple in ((2, 2, 3), (2, 2, 4), (2, 2, 5), (2, 3, 3), (3, 1, 3), (2, 3, 4)):
+        ctx = LatticeContext(*triple)
+        walls = _f1_walls(ctx)
+        for c in degree_one_divisors(ctx):
+            assert all(intersect(c, g) >= 0 for g in walls), (triple, c)
+
+
+@pytest.mark.parametrize("triple, k, nodes", [
+    ((2, 3, 3), 4, 12),
+    ((2, 2, 4), 3, 12),
+    ((2, 2, 5), 4, 73),
+    ((3, 1, 3), 4, 24),
+])
+def test_decompose_degree1_cap_boundary(triple, k, nodes):
+    # minimal passing node caps of the pruned search; without the prune
+    # 4(-K) on (2, 3, 3) needs 46,725 nodes
+    target = k * anticanonical(LatticeContext(*triple))
+    assert decompose_degree1(target, cap=nodes) == _unpruned_decompose(target)
+    with pytest.raises(CapExceeded):
+        decompose_degree1(target, cap=nodes - 1)
+
+
+def test_nef_orbits_are_built_one_curve_at_a_time(monkeypatch):
+    built = []
+
+    def counted(g, rs, cap=None):
+        built.append(g)
+        return weyl_orbit_curves(g, rs, cap)
+
+    monkeypatch.setattr(blowup_divisors, "weyl_orbit_curves", counted)
+    blowup_divisors._nef_orbit.cache_clear()
+    ctx = LatticeContext(2, 3, 3)
+    f1 = CurveClass.line(ctx) - CurveClass.exceptional_line(ctx, 1)
+    assert decompose_degree1(2 * anticanonical(ctx)) is not None
+    assert built == [f1]
+    assert eff_membership(anticanonical(ctx))
+    assert built == [f1, CurveClass.line(ctx)]
+    assert decompose_degree1(anticanonical(ctx)) is not None
+    assert eff_membership(-DivisorClass.exceptional(ctx, 1)).certificate is not None
+    assert len(built) == 2

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from coxforge.cli import main
-from coxforge.picard_lattice import DivisorClass, LatticeContext
+from coxforge.picard_lattice import DivisorClass, LatticeContext, degree
 from coxforge.root_system import simple_roots, weyl_orbit
 
 
@@ -76,6 +76,21 @@ def test_decompose_table_and_degree_one(capsys):
     parts = [DivisorClass.from_json(obj) for obj in payload["parts"]]
     ctx = LatticeContext(2, 2, 3)
     assert sum(parts, DivisorClass.zero(ctx)).m == (1, 1, 1, 1, 1)
+
+
+def test_decompose_degree_one_fits_a_small_cap(capsys):
+    # 4(-K) on the cubic surface: the cone prune leaves 12 search nodes,
+    # where the search without it needs 46,725
+    argv = ("decompose", "--ctx", "2,3,3", "--d", "12", "--m", "4,4,4,4,4,4", "--degree-one")
+    payload = run_json(capsys, *argv, "--cap", "100")
+    parts = [DivisorClass.from_json(obj) for obj in payload["parts"]]
+    assert len(parts) == 12
+    ctx = LatticeContext(2, 3, 3)
+    assert sum(parts, DivisorClass.zero(ctx)) == DivisorClass(ctx, (12,), (4,) * 6)
+    assert all(degree(p) == 1 for p in parts)
+    code, out, err = run(capsys, *argv, "--cap", "11")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == {"cap": 11, "type": "cap", "what": "decompose_degree1"}
 
 
 def test_member_false_is_still_exit_zero(capsys):
@@ -208,6 +223,12 @@ def test_invariant_check_all_bounds_its_terms(capsys, monkeypatch):
     # a malformed index set is reported before the count
     code, _, err = run(capsys, "invariant", "build", "-I", "1,2", "--cap", "1")
     assert code == 1 and json.loads(err)["error"]["field"] == "I"
+    # --cap also lifts the bound set by COXFORGE_CAP: F_{1..5} has 10 terms
+    monkeypatch.setenv("COXFORGE_CAP", "9")
+    code, _, err = run(capsys, "invariant", "build", "-I", "1,2,3,4,5", "--r", "5")
+    assert code == 2 and json.loads(err)["error"]["cap"] == 9
+    code, out, _ = run(capsys, "invariant", "build", "-I", "1,2,3,4,5", "--r", "5", "--cap", "10")
+    assert code == 0 and len(json.loads(out)) == 10
 
 
 def test_module_entry_point():

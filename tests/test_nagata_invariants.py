@@ -121,8 +121,14 @@ def test_build_F_cap_boundary(monkeypatch):
     with pytest.raises(CapExceeded) as err:
         build_F((1, 2, 3, 4, 5), NP5)
     assert (err.value.what, err.value.cap) == ("determinant terms", 9)
+    # an explicit cap comes before the environment, either way
+    assert len(build_F((1, 2, 3, 4, 5), NP5, cap=10).terms) == 10
+    monkeypatch.setenv("COXFORGE_CAP", "10")
+    with pytest.raises(CapExceeded) as err:
+        build_F((1, 2, 3, 4, 5), NP5, cap=9)
+    assert err.value.cap == 9
     with pytest.raises(PreconditionError):
-        build_F((1, 2), NP5)  # guards come before the cap
+        build_F((1, 2), NP5, cap=1)  # guards come before the cap
     monkeypatch.delenv("COXFORGE_CAP")
     with pytest.raises(CapExceeded):
         build_F(range(1, 24), NagataParams.default(23))  # C(23, 12) > 10^6

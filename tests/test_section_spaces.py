@@ -10,6 +10,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coxforge import section_spaces
 from coxforge.blowup_divisors import enumerate_minimal, mult_lower_bound
 from coxforge.errors import CapExceeded, PreconditionError
 from coxforge.linalg import rank
@@ -26,6 +27,7 @@ from coxforge.section_spaces import (
     mult_along_curve,
     mult_at_point,
     section_of,
+    section_vector,
 )
 
 CFG25 = PointConfig.default(2, 5)
@@ -278,6 +280,24 @@ def test_generation_caps_and_bounds():
     cfg58 = PointConfig.default(5, 8)
     with pytest.raises(PreconditionError):
         generation_test(DivisorClass.hyperplane(cfg58.lattice_context()), cfg58)
+
+
+def test_generation_solves_each_section_once_per_configuration(monkeypatch):
+    solved = []
+
+    def counted(d, cfg):
+        solved.append((d, cfg))
+        return section_vector(d, cfg)
+
+    monkeypatch.setattr(section_spaces, "section_vector", counted)
+    section_spaces._section_terms.cache_clear()
+    section_spaces._generators.cache_clear()
+    cfg = PointConfig.random(2, 6, 12)
+    ctx = cfg.lattice_context()
+    for deg in (2, 3, 4):
+        rep = generation_test(DivisorClass(ctx, (deg,), (1,) * 6), cfg)
+        assert rep.generated and rep.h0 > 0
+    assert solved and len(set(solved)) == len(solved)
 
 
 # (class, configuration, v): cap = v passes and cap = v - 1 raises; these pin
