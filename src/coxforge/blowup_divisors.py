@@ -30,7 +30,7 @@ from .picard_lattice import (
     hdeg,
     intersect,
 )
-from .root_system import degree_one_divisors, simple_roots, weyl_orbit_curves
+from .root_system import _degree_one_coords, simple_roots, weyl_orbit_curves
 
 
 @dataclass(frozen=True, order=True)
@@ -264,8 +264,7 @@ def eff_membership(d: DivisorClass, cap: int | None = None) -> MembershipResult:
 def _degree_one_candidates(ctx: LatticeContext, cap: int):
     # flat coordinate tuples in (-H-degree, coordinates) order
     nh = ctx.a - 1
-    return tuple(sorted((c.coords() for c in degree_one_divisors(ctx, cap)),
-                        key=lambda x: (-sum(x[:nh]), x)))
+    return tuple(sorted(_degree_one_coords(ctx, cap), key=lambda x: (-sum(x[:nh]), x)))
 
 
 def decompose_degree1(d: DivisorClass, cap: int | None = None):

@@ -297,19 +297,23 @@ def is_minuscule(ctx: LatticeContext, cap: int | None = None) -> bool:
     return weights_of_irrep(lam, rs, cap) == weyl_orbit_weights(lam, rs, cap)
 
 
-def degree_one_divisors(ctx: LatticeContext, cap: int | None = None):
-    """All divisor classes of degree 1 whose weight lies in the E_r system.
-
-    For each weight mu the pairing conditions against the simple roots plus
-    the degree-1 normalization form a square system of full rank; the class
-    is kept when the rational solution is integral.  Sorted output.
-    """
+def _degree_one_system(ctx: LatticeContext) -> RootSystemData:
     rs = simple_roots(ctx)
     if rs.dynkin_label == "INFINITE":
         raise PreconditionError("ctx", "finite type required")
     k = canonical_class(ctx)
     if pairing(k, k) == 0:
         raise PreconditionError("ctx", "pairing(K, K) = 0")
+    return rs
+
+
+@lru_cache(maxsize=16)
+def _degree_one_coords(ctx: LatticeContext, cap: int) -> tuple:
+    """The sorted flat coordinate tuples of `degree_one_divisors`, built once
+    per (context, resolved cap): E8's 2,401 classes take about a second.  A
+    pass of the lattice benchmark meets 3 pairs and a CLI call one, so 16
+    entries hold either working set."""
+    rs = _degree_one_system(ctx)
     inv = invert([_dual(v) for v in rs.simple_roots + (anticanonical(ctx),)])
     out = []
     for mu in weights_of_irrep(_top_weight(ctx), rs, cap):
@@ -317,4 +321,16 @@ def degree_one_divisors(ctx: LatticeContext, cap: int | None = None):
         coords = [sum(row[j] * rhs[j] for j in range(len(rhs))) for row in inv]
         if all(v.denominator == 1 for v in coords):
             out.append(tuple(int(v) for v in coords))
-    return tuple(DivisorClass.from_coords(ctx, x) for x in sorted(out))
+    return tuple(sorted(out))
+
+
+def degree_one_divisors(ctx: LatticeContext, cap: int | None = None):
+    """All divisor classes of degree 1 whose weight lies in the E_r system.
+
+    For each weight mu the pairing conditions against the simple roots plus
+    the degree-1 normalization form a square system of full rank; the class
+    is kept when the rational solution is integral.  Sorted output.
+    """
+    _degree_one_system(ctx)  # the context is checked before the cap
+    return tuple(DivisorClass.from_coords(ctx, x)
+                 for x in _degree_one_coords(ctx, effective_cap(cap)))

@@ -4,9 +4,13 @@ normal curve.
 A divisor class d H - sum m_i E_i is realized as the space of degree-d
 forms in z_0..z_n, coefficient vectors over `monomial_exponents(n, d)`,
 vanishing to order at least m_i at the curve points p_i = (1, a_i, .., a_i^n).
-One kernel, `_point_rows` (the integer partials of the monomials at a
-point), yields the conditions of h0, the multiplicity and initial form at a
-point and the order along the curve, all exactly.  The generation test
+One row builder, `_rows` (the integer partials of the monomials at an
+integer point), yields the conditions of h0, the multiplicity and initial
+form at a point and the order along the curve, all exactly.  A
+`PointConfig` scales its points to integers once and keeps every block of
+conditions it has built, per (degree, point, order), for as long as it
+lives, so a pass that asks hundreds of classes on one configuration builds
+each block once; other points are not kept.  The generation test
 multiplies the unique sections of the minimal divisors and compares the
 span against the full section space.  There a degree-d form is held by its
 integer values at the principal lattice (1, e_1, .., e_n), e in
@@ -18,7 +22,7 @@ and a product of forms is the pointwise product of their values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -42,6 +46,13 @@ GENERATION_NODE_CAP = 10 ** 5
 class PointConfig:
     """r distinct parameters a_i marking points on the rational normal curve.
 
+    A configuration also keeps its points' integer representatives and a
+    memo of the condition blocks `_condition_rows` has built, keyed by (d,
+    i, order); neither takes part in equality, hashing, repr or JSON.  For the
+    degrees d asked, the memo holds at most r * sum(d + 1) blocks and lives
+    as long as the configuration: in the package only the bounded caches
+    `_generators` and `_section_terms` keep configurations alive.
+
     >>> PointConfig.default(2, 5).params
     (Fraction(1, 1), Fraction(2, 1), Fraction(3, 1), Fraction(4, 1), Fraction(5, 1))
     """
@@ -49,6 +60,8 @@ class PointConfig:
     n: int
     r: int
     params: tuple
+    _reps: tuple = field(init=False, repr=False, compare=False)
+    _blocks: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         BlowupContext(self.n, self.r)  # validates n and r
@@ -58,6 +71,8 @@ class PointConfig:
         if len(set(params)) != len(params):
             raise PreconditionError("params", "parameters must be pairwise distinct")
         object.__setattr__(self, "params", params)
+        object.__setattr__(self, "_reps", tuple(map(_representative, self.points())))
+        object.__setattr__(self, "_blocks", {})
 
     @classmethod
     def default(cls, n: int, r: int) -> "PointConfig":
@@ -123,12 +138,11 @@ def _representative(point) -> tuple:
     return tuple(v.numerator * (scale // v.denominator) for v in p), chart
 
 
-def _point_rows(n: int, d: int, point, order: int) -> list:
-    """Row beta holds d^beta z^g at P for every column g of monomial_exponents(n, d),
-    with (P, c) from `_representative` and beta over the order-`order` partials in
-    the coordinates other than c.  The partials are homogeneous, so whether they
-    vanish at the point does not depend on the representative."""
-    rep, chart = _representative(point)
+def _rows(n: int, d: int, rep: tuple, chart: int, order: int) -> tuple:
+    """The one row builder: row beta holds d^beta z^g at the integer point rep
+    for every column g of monomial_exponents(n, d), beta over the
+    order-`order` partials in the coordinates other than `chart`.  Blocks are
+    tuples, as `PointConfig` shares them between calls."""
     others = [t for t in range(n + 1) if t != chart]
     rows = []
     for beta in monomial_exponents(n - 1, order):
@@ -138,17 +152,28 @@ def _point_rows(n: int, d: int, point, order: int) -> list:
             for t, b in zip(others, beta):
                 v *= perm(g[t], b) * rep[t] ** (g[t] - b) if g[t] >= b else 0
             row.append(v)
-        rows.append(row)
-    return rows
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _point_rows(n: int, d: int, point, order: int) -> tuple:
+    """`_rows` at (P, c) from `_representative`.  The partials are homogeneous,
+    so whether they vanish at the point does not depend on the representative."""
+    return _rows(n, d, *_representative(point), order)
 
 
 def _condition_rows(d: int, mults, cfg: PointConfig) -> list:
-    """The `_point_rows` of every order below m_i at every curve point p_i,
-    whose orthogonal complement is the section space."""
+    """The rows of every order below m_i at every curve point p_i, whose
+    orthogonal complement is the section space, taken from cfg's block memo:
+    a configuration builds each (d, i, order) block once."""
+    blocks = cfg._blocks
     rows = []
-    for point, m in zip(cfg.points(), mults):
+    for i, m in enumerate(mults):
         for order in range(min(m, d + 1)):
-            rows.extend(_point_rows(cfg.n, d, point, order))
+            key = (d, i, order)
+            if key not in blocks:
+                blocks[key] = _rows(cfg.n, d, *cfg._reps[i], order)
+            rows.extend(blocks[key])
     return rows
 
 
@@ -238,9 +263,21 @@ def section_of(d: DivisorClass, cfg: PointConfig) -> MultiPoly:
     return form_from_vector(cfg.n, hdeg(d), section_vector(d, cfg))
 
 
-def _partials(n: int, d: int, vec, point, order: int) -> list:
-    """The order-`order` partials of the form `vec` at the point, up to scale."""
-    return [sum(a * c for a, c in zip(row, vec) if c) for row in _point_rows(n, d, point, order)]
+def _partials(rows, vec) -> list:
+    """The form `vec` under the rows of one (point, order): its partials
+    there, up to scale."""
+    return [sum(a * c for a, c in zip(row, vec) if c) for row in rows]
+
+
+def _lowest_partials(n: int, deg: int, vec, rep: tuple, chart: int) -> tuple:
+    """(o, values): the least order o at which the nonzero form `vec` has a
+    nonvanishing partial at the integer point (rep, chart), and the order-o
+    partials there.  In the chart the form is a nonzero polynomial of degree
+    <= deg, so some o <= deg qualifies."""
+    for order in range(deg + 1):
+        values = _partials(_rows(n, deg, rep, chart, order), vec)
+        if any(values):
+            return order, values
 
 
 def mult_at_point(f: MultiPoly, p):
@@ -250,8 +287,7 @@ def mult_at_point(f: MultiPoly, p):
         return inf
     n = len(p) - 1
     deg, _, vec = _form_vector(f, n)
-    # in the chart, f is a nonzero polynomial of degree <= deg
-    return next(o for o in range(deg + 1) if any(_partials(n, deg, vec, p, o)))
+    return _lowest_partials(n, deg, vec, *_representative(p))[0]
 
 
 def initial_form_at_point(f: MultiPoly, p) -> MultiPoly:
@@ -265,10 +301,9 @@ def initial_form_at_point(f: MultiPoly, p) -> MultiPoly:
     """
     n = len(p) - 1
     deg, scale, vec = _form_vector(f, n)
-    order = mult_at_point(f, p)
     rep, chart = _representative(p)
+    order, values = _lowest_partials(n, deg, vec, rep, chart)
     scale *= rep[chart] ** (deg - order)
-    values = _partials(n, deg, vec, p, order)
     return MultiPoly(tuple(f"u_{t}" for t in range(1, n + 1)),
                      {beta: Fraction(v, scale * prod(map(factorial, beta)))
                       for beta, v in zip(monomial_exponents(n - 1, order), values)})
@@ -289,7 +324,8 @@ def mult_along_curve(f: MultiPoly, cfg: PointConfig) -> int:
     deg, _, vec = _form_vector(f, n)
     curve = [tuple(s ** j for j in range(n + 1)) for s in range(deg * n + 1)]
     for order in range(deg + 1):
-        if any(any(_partials(n, deg, vec, q, order)) for q in curve[:(deg - order) * n + 1]):
+        if any(any(_partials(_point_rows(n, deg, q, order), vec))
+               for q in curve[:(deg - order) * n + 1]):
             return order
 
 

@@ -5,7 +5,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from coxforge import blowup_divisors
+from coxforge import blowup_divisors, root_system
 from coxforge.blowup_divisors import (
     BlowupContext,
     classify_minimal_projection,
@@ -31,6 +31,7 @@ from coxforge.root_system import (
     degree_one_divisors,
     reflect,
     simple_roots,
+    weights_of_irrep,
     weyl_orbit_curves,
 )
 
@@ -296,11 +297,11 @@ def test_decompose_degree1_agrees_with_brute_force_multisets():
 def test_decompose_degree1_lists_degree_one_classes_once_per_context(monkeypatch):
     calls = []
 
-    def counted(ctx, cap=None):
+    def counted(ctx, cap):
         calls.append((ctx, cap))
-        return degree_one_divisors(ctx, cap)
+        return root_system._degree_one_coords(ctx, cap)
 
-    monkeypatch.setattr(blowup_divisors, "degree_one_divisors", counted)
+    monkeypatch.setattr(blowup_divisors, "_degree_one_coords", counted)
     blowup_divisors._degree_one_candidates.cache_clear()
     ctx = LatticeContext(2, 2, 3)
     target = 2 * anticanonical(ctx)
@@ -311,6 +312,25 @@ def test_decompose_degree1_lists_degree_one_classes_once_per_context(monkeypatch
     monkeypatch.setenv("COXFORGE_CAP", "5000")
     assert decompose_degree1(target) == first
     assert calls == [(ctx, 10 ** 6), (ctx, 5000)]
+
+
+def test_listing_then_decomposing_builds_the_e8_weights_once(monkeypatch):
+    built = []
+
+    def counted(lam, rs, cap=None):
+        built.append(lam)
+        return weights_of_irrep(lam, rs, cap)
+
+    monkeypatch.setattr(root_system, "weights_of_irrep", counted)
+    root_system._degree_one_coords.cache_clear()
+    blowup_divisors._degree_one_candidates.cache_clear()
+    ctx = LatticeContext(2, 3, 5)
+    classes = degree_one_divisors(ctx)
+    assert len(classes) == 2401
+    parts = decompose_degree1(anticanonical(ctx))
+    assert parts is not None and sum(parts, DivisorClass.zero(ctx)) == anticanonical(ctx)
+    assert degree_one_divisors(ctx) == classes
+    assert len(built) == 1
 
 
 def _unpruned_decompose(d):

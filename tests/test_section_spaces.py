@@ -1,6 +1,10 @@
 """Section spaces, point/curve multiplicities, and the generation test."""
 
+import dataclasses
+import gc
 import random
+import weakref
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import comb, inf, prod
@@ -298,6 +302,78 @@ def test_generation_solves_each_section_once_per_configuration(monkeypatch):
         rep = generation_test(DivisorClass(ctx, (deg,), (1,) * 6), cfg)
         assert rep.generated and rep.h0 > 0
     assert solved and len(set(solved)) == len(solved)
+
+
+def _fill_blocks(cfg):
+    ctx = cfg.lattice_context()
+    for deg in range(1, 4):
+        for m in ((deg,) + (1,) * (cfg.r - 1), (deg - 1,) * cfg.r, (2, 0, 1) * 3):
+            d = DivisorClass(ctx, (deg,), m[:cfg.r])
+            h0(d, cfg)
+            form_space(d, cfg)
+
+
+def test_block_memo_matches_point_rows():
+    configs = (PointConfig(2, 5, (-3, Fraction(-1, 2), 0, Fraction(2, 3), 5)),
+               PointConfig(3, 6, (Fraction(-7, 4), -1, Fraction(1, 3), 2, Fraction(9, 5), 4)),
+               PointConfig(4, 7, (-2, Fraction(-2, 3), Fraction(1, 5), 1, 3, Fraction(7, 2), 6)))
+    for cfg in configs:
+        _fill_blocks(cfg)
+        assert {order for _, _, order in cfg._blocks} == {0, 1, 2}
+        points = cfg.points()
+        for (d, i, order), block in cfg._blocks.items():
+            assert block == section_spaces._point_rows(cfg.n, d, points[i], order)
+            assert isinstance(block, tuple) and all(isinstance(row, tuple) for row in block)
+
+
+def test_each_block_is_built_once_per_configuration(monkeypatch):
+    built = Counter()
+    rows = section_spaces._rows
+
+    def counted(n, d, rep, chart, order):
+        built[n, d, rep, chart, order] += 1
+        return rows(n, d, rep, chart, order)
+
+    monkeypatch.setattr(section_spaces, "_rows", counted)
+    section_spaces._generators.cache_clear()
+    section_spaces._section_terms.cache_clear()
+    cfg = PointConfig.random(2, 6, 31)
+    ctx = cfg.lattice_context()
+    for _ in range(2):
+        for deg in (2, 3, 4):
+            d = DivisorClass(ctx, (deg,), (1,) * 6)
+            h0(d, cfg)
+            form_space(d, cfg)
+            assert generation_test(d, cfg).generated
+    assert built and set(built.values()) == {1}
+    assert sum(built.values()) == len(cfg._blocks) <= cfg.r * sum(deg + 1 for deg in range(5))
+
+
+def test_block_memo_is_invisible_to_equality_hash_repr_and_json():
+    cfg, twin = PointConfig.random(3, 7, 5), PointConfig.random(3, 7, 5)
+    before = (repr(cfg), hash(cfg), cfg.to_json())
+    _fill_blocks(cfg)
+    assert cfg._blocks and not twin._blocks
+    assert cfg == twin and hash(cfg) == hash(twin)
+    assert (repr(cfg), hash(cfg), cfg.to_json()) == before == (repr(twin), hash(twin), twin.to_json())
+    assert PointConfig.from_json(cfg.to_json()) == cfg
+    copy = dataclasses.replace(cfg)
+    assert copy == cfg and copy._blocks == {} and copy._reps == cfg._reps
+    moved = dataclasses.replace(cfg, params=(1, 2, 3, 4, 5, 6, 7))
+    assert moved == PointConfig.default(3, 7) and moved._reps == PointConfig.default(3, 7)._reps
+    assert [f.name for f in dataclasses.fields(PointConfig) if f.compare] == ["n", "r", "params"]
+
+
+def test_dropped_configuration_is_collected():
+    cfg = PointConfig.random(2, 6, 47)
+    assert generation_test(DivisorClass(cfg.lattice_context(), (3,), (1,) * 6), cfg).generated
+    assert cfg._blocks
+    ref = weakref.ref(cfg)
+    del cfg
+    section_spaces._generators.cache_clear()
+    section_spaces._section_terms.cache_clear()
+    gc.collect()
+    assert ref() is None
 
 
 # (class, configuration, v): cap = v passes and cap = v - 1 raises; these pin
