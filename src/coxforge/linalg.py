@@ -1,15 +1,16 @@
 """Exact linear algebra over the rationals on one fraction-free core.
 
-`RowEchelon` takes rows one at a time.  A row's denominators are cleared on
-entry; the row is then reduced by the stored rows, in the order they were
-stored, with the Bareiss step
+`RowEchelon` takes integer rows one at a time; `rank`, `nullspace` and
+`invert` clear the denominators of rational input first, in `_integer_row`.
+A row is reduced by the stored rows, in the order they were stored, with the
+Bareiss step
 
     x <- (p_i * x - x[c_i] * row_i) // p_{i-1},    p_0 = 1,
 
 where c_i is the pivot column of the i-th stored row and p_i its entry
-there.  After i steps x[j] is the determinant of the cleared input rows of
-the first i stored rows and of x, on the columns c_1, .., c_i, j in that
-order; p_i is the same minor without x and j.  The division is exact by
+there.  After i steps x[j] is the determinant of the input rows of the
+first i stored rows and of x, on the columns c_1, .., c_i, j in that order;
+p_i is the same minor without x and j.  The division is exact by
 Sylvester's identity, which does not depend on the order of the columns,
 so a later row may take a pivot column left of earlier pivots.  A row that
 reduces to zero depends on the stored rows and is dropped; otherwise its
@@ -18,30 +19,34 @@ first nonzero column becomes its pivot.
 A stored row is zero left of its pivot and in every earlier pivot column.
 Sorted by pivot, the stored rows therefore form a row echelon form, and the
 pivot columns are the first linearly independent columns whatever order the
-rows came in.  Kernels are read off by back-substitution over Fraction: one
-vector per free column, with 1 there and 0 in the other free columns, which
-is the canonical basis of the reduced row echelon form.
+rows came in.  Kernels are read off by back-substitution in integers: the
+last stored pivot p_r is the determinant of the pivot minor, so by Cramer's
+rule p_r times a kernel vector is integral and every division on the way is
+exact.  Each vector is divided by p_r once, at the end: one vector per free
+column, with 1 there and 0 in the other free columns, which is the
+canonical basis of the reduced row echelon form.
 
-Rank, kernels, inverses and the span tracking of the generation test all run
-on this one core.
+Rank, kernels, inverses, the section spaces and the span tracking of the
+generation test all run on this one core.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .errors import SingularMatrixError
 
 
 class RowEchelon:
-    """Fraction-free row echelon form of the rows added so far.
+    """Fraction-free row echelon form of the integer rows added so far.
 
     >>> ech = RowEchelon(3)
-    >>> [ech.add(row) for row in ([0, 1, 2], [0, 2, 4], [1, 0, 1])]
+    >>> [ech.add(row) for row in ([1, 2, 3], [2, 4, 6], [2, 1, 5])]
     [True, False, True]
     >>> ech.rank, ech.kernel()
-    (2, [(Fraction(-1, 1), Fraction(-2, 1), Fraction(1, 1))])
+    (2, [(Fraction(-7, 3), Fraction(-1, 3), Fraction(1, 1))])
     """
 
     def __init__(self, width: int):
@@ -53,10 +58,10 @@ class RowEchelon:
         return len(self.rows)
 
     def add(self, row) -> bool:
-        """Reduce `row` (integers or Fractions) by the stored rows; store it
-        and return True when it is independent of them."""
-        mult = lcm(*(v.denominator for v in row))
-        x = [v.numerator * (mult // v.denominator) for v in row]
+        """Reduce the integer `row` by the stored rows; store it and return
+        True when it is independent of them.  Rational rows go through
+        `_integer_row` first."""
+        x = row
         prev = 1
         for c, stored in self.rows:
             p, f = stored[c], x[c]
@@ -68,28 +73,47 @@ class RowEchelon:
         pivot = next((j for j, v in enumerate(x) if v), None)
         if pivot is None:
             return False
-        self.rows.append((pivot, x))
+        self.rows.append((pivot, list(x)))
         return True
 
     def pivots(self) -> list:
         return sorted(c for c, _ in self.rows)
 
     def kernel(self) -> list:
-        """Canonical kernel basis as Fraction tuples, ordered by free column."""
+        """Canonical kernel basis as Fraction tuples, ordered by free column.
+
+        Each vector is solved in integers as det times the vector, det the
+        last stored pivot; every division is exact (see the module docstring)."""
         by_pivot = sorted(self.rows, key=lambda item: -item[0])
         pivots = set(self.pivots())
+        det = self.rows[-1][1][self.rows[-1][0]] if self.rows else 1
         basis = []
         for free in range(self.width):
             if free in pivots:
                 continue
-            vec = [Fraction(0)] * self.width
-            vec[free] = Fraction(1)
-            solved = []
+            vec = [0] * self.width
+            vec[free] = det
             for c, row in by_pivot:
-                vec[c] = Fraction(-row[free] - sum(row[j] * vec[j] for j in solved), row[c])
-                solved.append(c)
-            basis.append(tuple(vec))
+                vec[c] = -sum(map(mul, row[c + 1:], vec[c + 1:])) // row[c]
+            basis.append(tuple(Fraction(v, det) for v in vec))
         return basis
+
+
+def _integer_row(row) -> list:
+    """An integer or Fraction row scaled by the lcm of its denominators."""
+    mult = lcm(*(v.denominator for v in row))
+    return [v.numerator * (mult // v.denominator) for v in row]
+
+
+def echelon(rows, ncols: int) -> RowEchelon:
+    """The echelon of integer `rows` (ncols wide), stopped once it has full
+    column rank: the later rows cannot raise the rank or add a kernel vector."""
+    ech = RowEchelon(ncols)
+    for row in rows:
+        if ech.rank == ncols:
+            break
+        ech.add(row)
+    return ech
 
 
 def rank(rows) -> int:
@@ -98,13 +122,7 @@ def rank(rows) -> int:
     >>> rank([[1, 2], [2, 4], [0, Fraction(1, 3)]])
     2
     """
-    ncols = len(rows[0]) if rows else 0
-    ech = RowEchelon(ncols)
-    for row in rows:
-        if ech.rank == ncols:
-            break
-        ech.add(row)
-    return ech.rank
+    return echelon(map(_integer_row, rows), len(rows[0]) if rows else 0).rank
 
 
 def nullspace(rows, ncols: int):
@@ -113,10 +131,7 @@ def nullspace(rows, ncols: int):
     One vector per free column, carrying 1 there and the negated reduced
     echelon entries in the pivot columns; ordered by free column index.
     """
-    ech = RowEchelon(ncols)
-    for row in rows:
-        ech.add(row)
-    return ech.kernel()
+    return echelon(map(_integer_row, rows), ncols).kernel()
 
 
 def invert(a):
@@ -129,7 +144,7 @@ def invert(a):
     n = len(a)
     ech = RowEchelon(2 * n)
     for i, row in enumerate(a):
-        ech.add(list(row) + [-1 if j == i else 0 for j in range(n)])
+        ech.add(_integer_row(list(row) + [-1 if j == i else 0 for j in range(n)]))
     if ech.pivots() != list(range(n)):
         raise SingularMatrixError("matrix is singular")
     return [list(row) for row in zip(*(vec[:n] for vec in ech.kernel()))]

@@ -10,9 +10,12 @@ form at a point and the order along the curve, all exactly.  A
 `PointConfig` scales its points to integers once and keeps every block of
 conditions it has built, per (degree, point, order), for as long as it
 lives, so a pass that asks hundreds of classes on one configuration builds
-each block once; other points are not kept.  The generation test
-multiplies the unique sections of the minimal divisors and compares the
-span against the full section space.  There a degree-d form is held by its
+each block once; other points are not kept.  It also keeps the echelon of
+the last section space it was asked about, so `h0`, `form_space` and
+`section_of` on one class eliminate its conditions once: h0 is the width
+less the rank, and the kernel is read off the same echelon.  The
+generation test multiplies the unique sections of the minimal divisors
+and compares the span against the full section space.  There a degree-d form is held by its
 integer values at the principal lattice (1, e_1, .., e_n), e in
 `monomial_exponents(n, d)`, the same index set as its coefficients.  The
 lattice is unisolvent for degree d (Nicolaides 1972; Chung and Yao 1977),
@@ -34,7 +37,7 @@ from .blowup_divisors import BlowupContext, enumerate_minimal
 from .budget import effective_cap
 from .errors import CapExceeded, PreconditionError
 from .jsonutil import decode_fraction, decode_int, decode_list, encode_fraction
-from .linalg import RowEchelon, nullspace, rank
+from .linalg import RowEchelon, echelon
 from .multipoly import MultiPoly, _lift
 from .picard_lattice import DivisorClass, LatticeContext, hdeg
 
@@ -46,12 +49,14 @@ GENERATION_NODE_CAP = 10 ** 5
 class PointConfig:
     """r distinct parameters a_i marking points on the rational normal curve.
 
-    A configuration also keeps its points' integer representatives and a
-    memo of the condition blocks `_condition_rows` has built, keyed by (d,
-    i, order); neither takes part in equality, hashing, repr or JSON.  For the
-    degrees d asked, the memo holds at most r * sum(d + 1) blocks and lives
-    as long as the configuration: in the package only the bounded caches
-    `_generators` and `_section_terms` keep configurations alive.
+    A configuration also keeps its points' integer representatives, a memo
+    of the condition blocks `_condition_rows` has built, keyed by (d, i,
+    order), and the echelon of the last section space asked about, keyed by
+    (d, mults); none of them takes part in equality, hashing, repr or JSON.
+    For the degrees d asked, the memo holds at most r * sum(d + 1) blocks,
+    the slot one echelon, and both live as long as the configuration: in
+    the package only the bounded caches `_generators` and `_section_terms`
+    keep configurations alive.
 
     >>> PointConfig.default(2, 5).params
     (Fraction(1, 1), Fraction(2, 1), Fraction(3, 1), Fraction(4, 1), Fraction(5, 1))
@@ -62,6 +67,7 @@ class PointConfig:
     params: tuple
     _reps: tuple = field(init=False, repr=False, compare=False)
     _blocks: dict = field(init=False, repr=False, compare=False)
+    _echelon: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         BlowupContext(self.n, self.r)  # validates n and r
@@ -73,6 +79,7 @@ class PointConfig:
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "_reps", tuple(map(_representative, self.points())))
         object.__setattr__(self, "_blocks", {})
+        object.__setattr__(self, "_echelon", {})
 
     @classmethod
     def default(cls, n: int, r: int) -> "PointConfig":
@@ -177,6 +184,18 @@ def _condition_rows(d: int, mults, cfg: PointConfig) -> list:
     return rows
 
 
+def _section_echelon(deg: int, mults: tuple, cfg: PointConfig) -> RowEchelon:
+    """The echelon of the conditions of degree deg and multiplicities
+    mults, stopped at full column rank, from cfg's one-echelon slot: a
+    configuration eliminates again only when asked about another class."""
+    slot = cfg._echelon
+    key = (deg, mults)
+    if key not in slot:
+        slot.clear()
+        slot[key] = echelon(_condition_rows(deg, mults, cfg), len(monomial_exponents(cfg.n, deg)))
+    return slot[key]
+
+
 def h0(d: DivisorClass, cfg: PointConfig) -> int:
     """Dimension of the section space of d over the configuration.
 
@@ -188,11 +207,8 @@ def h0(d: DivisorClass, cfg: PointConfig) -> int:
     deg = hdeg(d)
     if deg < 0:
         return 0
-    ncols = len(monomial_exponents(cfg.n, deg))
-    rows = _condition_rows(deg, d.m, cfg)
-    if not rows:
-        return ncols
-    return ncols - rank(rows)
+    ech = _section_echelon(deg, d.m, cfg)
+    return ech.width - ech.rank
 
 
 @dataclass(frozen=True)
@@ -209,10 +225,8 @@ def form_space(d: DivisorClass, cfg: PointConfig) -> FormSpace:
     deg = hdeg(d)
     if deg < 0:
         raise PreconditionError("D", f"need H-degree >= 0, got {deg}")
-    cols = monomial_exponents(cfg.n, deg)
-    rows = _condition_rows(deg, d.m, cfg)
-    kernel = tuple(nullspace(rows, len(cols)))
-    return FormSpace(deg, cols, kernel)
+    kernel = tuple(_section_echelon(deg, d.m, cfg).kernel())
+    return FormSpace(deg, monomial_exponents(cfg.n, deg), kernel)
 
 
 def _z_names(n: int) -> tuple:

@@ -2,12 +2,15 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coxforge.errors import SingularMatrixError
-from coxforge.linalg import invert, nullspace, rank
+from coxforge.linalg import RowEchelon, invert, nullspace, rank
 
 # a later row taking an earlier pivot column, dependent rows arriving before
 # independent ones, and the all-zero matrix
@@ -95,3 +98,91 @@ def test_singular_solve_raises():
     for rows in ([[1, 2], [2, 4]], [[0, 0], [0, 0]], [[0, 1], [0, 1]]):
         with pytest.raises(SingularMatrixError):
             invert(rows)
+
+
+def fraction_kernel(ech):
+    """Reference kernel of an echelon by back-substitution over Fraction, one
+    canonical vector per free column; the integer back-substitution of
+    `RowEchelon.kernel` must give exactly these vectors."""
+    by_pivot = sorted(ech.rows, key=lambda item: -item[0])
+    pivots = set(ech.pivots())
+    basis = []
+    for free in range(ech.width):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * ech.width
+        vec[free] = Fraction(1)
+        solved = []
+        for c, row in by_pivot:
+            vec[c] = Fraction(-row[free] - sum(row[j] * vec[j] for j in solved), row[c])
+            solved.append(c)
+        basis.append(tuple(vec))
+    return basis
+
+
+def full_echelon(rows, ncols):
+    """Every row added, each scaled to integers here, with no early stop."""
+    ech = RowEchelon(ncols)
+    for row in rows:
+        mult = lcm(*(Fraction(v).denominator for v in row))
+        ech.add([int(v * mult) for v in row])
+    return ech
+
+
+def fraction_inverse(a):
+    n = len(a)
+    ech = full_echelon([list(row) + [-1 if j == i else 0 for j in range(n)]
+                        for i, row in enumerate(a)], 2 * n)
+    if ech.pivots() != list(range(n)):
+        return None
+    return [list(row) for row in zip(*(vec[:n] for vec in fraction_kernel(ech)))]
+
+
+@st.composite
+def matrices(draw):
+    """Integer or Fraction matrices up to 8 x 8, some with zero rows and
+    repeated rows inserted."""
+    ncols = draw(st.integers(1, 8))
+    entry = st.integers(-9, 9) | st.fractions(-9, 9, max_denominator=6)
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=8))
+    for _ in range(draw(st.integers(0, 2))):
+        if len(rows) == 8:
+            break
+        copied = rows and draw(st.booleans())
+        row = rows[draw(st.integers(0, len(rows) - 1))] if copied else [0] * ncols
+        rows.insert(draw(st.integers(0, len(rows))), list(row))
+    return rows, ncols
+
+
+def check_against_fraction_kernel(rows, ncols):
+    ech = full_echelon(rows, ncols)
+    want = fraction_kernel(ech)
+    assert ech.kernel() == want
+    assert nullspace(rows, ncols) == want
+    if len(rows) == ncols:
+        want_inverse = fraction_inverse(rows)
+        if want_inverse is None:
+            with pytest.raises(SingularMatrixError):
+                invert(rows)
+        else:
+            assert invert(rows) == want_inverse
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+@example(([], 3))                                    # nullspace([], n)
+@example(([[1, 2], [3, 4], [5, 6]], 2))              # full column rank
+@example(([[1, 2, 3], [2, 1, 5]], 3))                # negative last pivot
+@example(([[0, 0, 0], [1, 2, 3], [0, 0, 0], [1, 2, 3]], 3))
+def test_integer_back_substitution_matches_fraction_back_substitution(case):
+    check_against_fraction_kernel(*case)
+
+
+def test_kernel_scale_is_the_last_pivot_of_either_sign():
+    """[2, 1, 5] reduces to [0, -3, -1] against [1, 2, 3]: the last pivot is
+    negative and the kernel has denominator 3."""
+    ech = full_echelon([[1, 2, 3], [2, 1, 5]], 3)
+    assert ech.rows[-1] == (1, [0, -3, -1])
+    assert ech.kernel() == [(Fraction(-7, 3), Fraction(-1, 3), Fraction(1))]
+    assert nullspace([[1, 2], [3, 4], [5, 6]], 2) == []
+    assert nullspace([], 3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from coxforge import section_spaces
 from coxforge.blowup_divisors import enumerate_minimal, mult_lower_bound
 from coxforge.errors import CapExceeded, PreconditionError
-from coxforge.linalg import rank
+from coxforge.linalg import RowEchelon, rank
 from coxforge.multipoly import MultiPoly
 from coxforge.picard_lattice import DivisorClass, anticanonical, hdeg
 from coxforge.section_spaces import (
@@ -354,11 +354,12 @@ def test_block_memo_is_invisible_to_equality_hash_repr_and_json():
     before = (repr(cfg), hash(cfg), cfg.to_json())
     _fill_blocks(cfg)
     assert cfg._blocks and not twin._blocks
+    assert len(cfg._echelon) == 1 and not twin._echelon
     assert cfg == twin and hash(cfg) == hash(twin)
     assert (repr(cfg), hash(cfg), cfg.to_json()) == before == (repr(twin), hash(twin), twin.to_json())
     assert PointConfig.from_json(cfg.to_json()) == cfg
     copy = dataclasses.replace(cfg)
-    assert copy == cfg and copy._blocks == {} and copy._reps == cfg._reps
+    assert copy == cfg and copy._blocks == {} == copy._echelon and copy._reps == cfg._reps
     moved = dataclasses.replace(cfg, params=(1, 2, 3, 4, 5, 6, 7))
     assert moved == PointConfig.default(3, 7) and moved._reps == PointConfig.default(3, 7)._reps
     assert [f.name for f in dataclasses.fields(PointConfig) if f.compare] == ["n", "r", "params"]
@@ -367,13 +368,81 @@ def test_block_memo_is_invisible_to_equality_hash_repr_and_json():
 def test_dropped_configuration_is_collected():
     cfg = PointConfig.random(2, 6, 47)
     assert generation_test(DivisorClass(cfg.lattice_context(), (3,), (1,) * 6), cfg).generated
-    assert cfg._blocks
+    assert cfg._blocks and cfg._echelon
     ref = weakref.ref(cfg)
     del cfg
     section_spaces._generators.cache_clear()
     section_spaces._section_terms.cache_clear()
     gc.collect()
     assert ref() is None
+
+
+def _count_conditions(monkeypatch) -> Counter:
+    """Calls of `_condition_rows`, by (degree, mults)."""
+    asked = Counter()
+    rows = section_spaces._condition_rows
+
+    def counted(d, mults, cfg):
+        asked[d, tuple(mults)] += 1
+        return rows(d, mults, cfg)
+
+    monkeypatch.setattr(section_spaces, "_condition_rows", counted)
+    return asked
+
+
+def test_h0_form_space_and_section_of_share_one_elimination(monkeypatch):
+    twin = PointConfig.random(2, 5, 3)
+    want = section_of(conic_class(twin), twin)
+    asked = _count_conditions(monkeypatch)
+    echelons = Counter()
+    add = RowEchelon.add
+
+    def counted_add(ech, row):
+        echelons[id(ech)] += 1
+        return add(ech, row)
+
+    monkeypatch.setattr(RowEchelon, "add", counted_add)
+    cfg = PointConfig.random(2, 5, 3)
+    conic = conic_class(cfg)
+    assert h0(conic, cfg) == 1
+    rows_added = sum(echelons.values())
+    assert len(form_space(conic, cfg).kernel) == 1
+    assert section_of(conic, cfg) == want
+    assert asked == Counter({(2, (1,) * 5): 1})
+    assert len(echelons) == 1 and sum(echelons.values()) == rows_added
+
+
+def test_interleaved_classes_answer_as_on_a_fresh_configuration():
+    """A, B, A on one configuration: each answer is a fresh configuration's,
+    including a kernel read after an elimination stopped at full column rank."""
+    cfg = PointConfig.random(2, 6, 19)
+    ctx = cfg.lattice_context()
+    a = DivisorClass(ctx, (4,), (2, 2, 1, 1, 1, 1))
+    b = DivisorClass(ctx, (3,), (1, 1, 1, 1, 1, 0))
+    empty = DivisorClass(ctx, (2,), (2, 2, 1, 0, 0, 0))
+    fresh = {}
+    for d in (a, b, empty):
+        fresh[d] = (h0(d, PointConfig.random(2, 6, 19)),
+                    form_space(d, PointConfig.random(2, 6, 19)).kernel)
+    assert fresh[empty] == (0, ())
+    for d, e in ((a, b), (b, a), (a, empty), (empty, a), (a, a)):
+        assert h0(d, cfg) == fresh[d][0]
+        h0(e, cfg)
+        assert form_space(d, cfg).kernel == fresh[d][1]
+        assert list(cfg._echelon) == [(hdeg(d), d.m)]
+
+
+def test_generation_test_after_h0_does_not_eliminate_again(monkeypatch):
+    asked = _count_conditions(monkeypatch)
+    section_spaces._section_terms.cache_clear()
+    section_spaces._generators.cache_clear()
+    cfg = PointConfig.random(2, 6, 23)
+    ctx = cfg.lattice_context()
+    for m in ((2, 1, 1, 1, 1, 1), (2, 2, 1, 1, 1, 0), (1, 1, 1, 1, 1, 1)):
+        d = DivisorClass(ctx, (4,), m)
+        dim = h0(d, cfg)
+        assert generation_test(d, cfg) == GenerationReport(dim, dim, True)
+        assert asked[4, m] == 1
 
 
 # (class, configuration, v): cap = v passes and cap = v - 1 raises; these pin
