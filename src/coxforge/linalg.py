@@ -33,6 +33,7 @@ generation test all run on this one core.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
 from operator import mul
 
@@ -41,6 +42,22 @@ from .errors import SingularMatrixError
 
 class RowEchelon:
     """Fraction-free row echelon form of the integer rows added so far.
+
+    Only integer rows may be added: `add` does not check, and a Fraction
+    entry goes through the floor division of the Bareiss step, which gives a
+    wrong echelon and kernel without an error.  Rational rows go through
+    `_integer_row` first; `echelon` checks its rows.
+
+    A later row may take a pivot left of an earlier one; the kernel is read
+    off all the same:
+
+    >>> ech = RowEchelon(3)
+    >>> [ech.add(row) for row in ([0, 1, 2], [0, 2, 4], [1, 0, 1])]
+    [True, False, True]
+    >>> ech.rank, ech.kernel()
+    (2, [(Fraction(-1, 1), Fraction(-2, 1), Fraction(1, 1))])
+
+    The kernel may have denominators, here the last pivot -3:
 
     >>> ech = RowEchelon(3)
     >>> [ech.add(row) for row in ([1, 2, 3], [2, 4, 6], [2, 1, 5])]
@@ -59,8 +76,8 @@ class RowEchelon:
 
     def add(self, row) -> bool:
         """Reduce the integer `row` by the stored rows; store it and return
-        True when it is independent of them.  Rational rows go through
-        `_integer_row` first."""
+        True when it is independent of them.  The row is not checked: a
+        rational row gives wrong answers silently (see the class docstring)."""
         x = row
         prev = 1
         for c, stored in self.rows:
@@ -107,11 +124,19 @@ def _integer_row(row) -> list:
 
 def echelon(rows, ncols: int) -> RowEchelon:
     """The echelon of integer `rows` (ncols wide), stopped once it has full
-    column rank: the later rows cannot raise the rank or add a kernel vector."""
+    column rank: the later rows cannot raise the rank or add a kernel vector.
+
+    >>> echelon([[1, Fraction(1, 2)]], 2)
+    Traceback (most recent call last):
+    ...
+    TypeError: echelon takes integer rows, got [1, Fraction(1, 2)]
+    """
     ech = RowEchelon(ncols)
     for row in rows:
         if ech.rank == ncols:
             break
+        if not all(map(isinstance, row, repeat(int))):
+            raise TypeError(f"echelon takes integer rows, got {list(row)!r}")
         ech.add(row)
     return ech
 

@@ -67,7 +67,7 @@ class PointConfig:
     params: tuple
     _reps: tuple = field(init=False, repr=False, compare=False)
     _blocks: dict = field(init=False, repr=False, compare=False)
-    _echelon: dict = field(init=False, repr=False, compare=False)
+    _echelon: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         BlowupContext(self.n, self.r)  # validates n and r
@@ -79,7 +79,7 @@ class PointConfig:
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "_reps", tuple(map(_representative, self.points())))
         object.__setattr__(self, "_blocks", {})
-        object.__setattr__(self, "_echelon", {})
+        object.__setattr__(self, "_echelon", None)
 
     @classmethod
     def default(cls, n: int, r: int) -> "PointConfig":
@@ -186,14 +186,14 @@ def _condition_rows(d: int, mults, cfg: PointConfig) -> list:
 
 def _section_echelon(deg: int, mults: tuple, cfg: PointConfig) -> RowEchelon:
     """The echelon of the conditions of degree deg and multiplicities
-    mults, stopped at full column rank, from cfg's one-echelon slot: a
-    configuration eliminates again only when asked about another class."""
-    slot = cfg._echelon
+    mults, stopped at full column rank, from cfg's slot, None or one
+    ((deg, mults), echelon) pair: a configuration eliminates again only when
+    asked about another class."""
     key = (deg, mults)
-    if key not in slot:
-        slot.clear()
-        slot[key] = echelon(_condition_rows(deg, mults, cfg), len(monomial_exponents(cfg.n, deg)))
-    return slot[key]
+    if cfg._echelon is None or cfg._echelon[0] != key:
+        ech = echelon(_condition_rows(deg, mults, cfg), len(monomial_exponents(cfg.n, deg)))
+        object.__setattr__(cfg, "_echelon", (key, ech))
+    return cfg._echelon[1]
 
 
 def h0(d: DivisorClass, cfg: PointConfig) -> int:

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coxforge.errors import SingularMatrixError
-from coxforge.linalg import RowEchelon, invert, nullspace, rank
+from coxforge.linalg import RowEchelon, echelon, invert, nullspace, rank
 
 # a later row taking an earlier pivot column, dependent rows arriving before
 # independent ones, and the all-zero matrix
@@ -125,7 +125,9 @@ def full_echelon(rows, ncols):
     ech = RowEchelon(ncols)
     for row in rows:
         mult = lcm(*(Fraction(v).denominator for v in row))
-        ech.add([int(v * mult) for v in row])
+        scaled = [v * mult for v in row]
+        assert all(v == int(v) for v in scaled)
+        ech.add([int(v) for v in scaled])
     return ech
 
 
@@ -174,6 +176,7 @@ def check_against_fraction_kernel(rows, ncols):
 @example(([[1, 2], [3, 4], [5, 6]], 2))              # full column rank
 @example(([[1, 2, 3], [2, 1, 5]], 3))                # negative last pivot
 @example(([[0, 0, 0], [1, 2, 3], [0, 0, 0], [1, 2, 3]], 3))
+@example(([[0, 1, 2], [0, 2, 4], [1, 0, 1]], 3))    # a pivot left of an earlier one
 def test_integer_back_substitution_matches_fraction_back_substitution(case):
     check_against_fraction_kernel(*case)
 
@@ -186,3 +189,10 @@ def test_kernel_scale_is_the_last_pivot_of_either_sign():
     assert ech.kernel() == [(Fraction(-7, 3), Fraction(-1, 3), Fraction(1))]
     assert nullspace([[1, 2], [3, 4], [5, 6]], 2) == []
     assert nullspace([], 3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+
+def test_echelon_rejects_rational_rows():
+    """`RowEchelon.add` would floor a Fraction row into a wrong echelon."""
+    with pytest.raises(TypeError):
+        echelon([[1, 2], [Fraction(1, 2), 1]], 2)
+    assert rank([[1, 2], [Fraction(1, 2), 1]]) == 1
