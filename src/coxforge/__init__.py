@@ -29,10 +29,8 @@ from .multipoly import MultiPoly
 from .nagata_invariants import (
     NagataParams,
     build_F,
-    build_J,
     divisor_class_of,
     is_invariant,
-    nagata_substitute,
     torus_weight,
 )
 from .picard_lattice import (
@@ -55,7 +53,6 @@ from .root_system import (
     is_finite_type,
     is_minuscule,
     reflect,
-    reflect_curve,
     simple_roots,
     weight_coords,
     weights_of_irrep,
@@ -70,7 +67,6 @@ from .section_spaces import (
     form_space,
     generation_test,
     h0,
-    initial_form_at_point,
     mult_along_curve,
     mult_at_point,
     section_of,
@@ -85,17 +81,14 @@ __all__ = [
     "LatticeContext", "MembershipResult", "MultiPoly", "NagataParams",
     "PointConfig", "PreconditionError", "ProjectionResult", "Report",
     "RootSystemData", "SingularMatrixError", "anticanonical", "build_F",
-    "build_J", "canonical_class", "classify_minimal_projection",
-    "decompose_degree1", "degree", "degree_one_divisors",
-    "divisor_class_of", "dynkin_label", "eff_membership",
-    "effective_decompose", "enumerate_minimal", "form_space",
-    "format_curve", "format_divisor", "generation_test", "h0", "hdeg",
-    "initial_form_at_point", "intersect", "is_finite_type",
-    "is_invariant", "is_minuscule", "minimal_class", "minimal_parameters",
-    "mult_along_curve", "mult_at_point", "mult_lower_bound",
-    "nagata_substitute", "pairing", "project_class", "reflect",
-    "reflect_curve", "render_report", "run_all",
-    "run_criterion", "section_of", "simple_roots", "torus_weight",
-    "weight_coords", "weights_of_irrep", "weyl_orbit",
-    "weyl_orbit_curves", "weyl_orbit_weights",
+    "canonical_class", "classify_minimal_projection", "decompose_degree1",
+    "degree", "degree_one_divisors", "divisor_class_of", "dynkin_label",
+    "eff_membership", "effective_decompose", "enumerate_minimal",
+    "form_space", "format_curve", "format_divisor", "generation_test", "h0",
+    "hdeg", "intersect", "is_finite_type", "is_invariant", "is_minuscule",
+    "minimal_class", "minimal_parameters", "mult_along_curve",
+    "mult_at_point", "mult_lower_bound", "pairing", "project_class",
+    "reflect", "render_report", "run_all", "run_criterion", "section_of",
+    "simple_roots", "torus_weight", "weight_coords", "weights_of_irrep",
+    "weyl_orbit", "weyl_orbit_curves", "weyl_orbit_weights",
 ]

@@ -21,7 +21,6 @@ from operator import mul
 
 from .budget import effective_cap
 from .errors import CapExceeded, PreconditionError
-from .jsonutil import decode_int
 from .picard_lattice import (
     CurveClass,
     DivisorClass,
@@ -30,7 +29,7 @@ from .picard_lattice import (
     hdeg,
     intersect,
 )
-from .root_system import _degree_one_coords, simple_roots, weyl_orbit_curves
+from .root_system import _degree_one_coords, _finite_system, weyl_orbit_curves
 
 
 @dataclass(frozen=True, order=True)
@@ -60,18 +59,6 @@ class BlowupContext:
 
     def lattice_context(self) -> LatticeContext:
         return LatticeContext(2, self.r - self.n - 1, self.n + 1)
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "r": self.r}
-
-    @classmethod
-    def from_json(cls, obj) -> "BlowupContext":
-        if not isinstance(obj, dict):
-            raise PreconditionError("blowup", f"expected an object, got {obj!r}")
-        try:
-            return cls(decode_int(obj["n"]), decode_int(obj["r"]))
-        except KeyError as missing:
-            raise PreconditionError("blowup", f"missing key {missing.args[0]!r}") from None
 
 
 def _check_class(d: DivisorClass, bc: BlowupContext):
@@ -235,9 +222,7 @@ class MembershipResult:
 def _nef_orbit(ctx: LatticeContext, curve: str, cap: int) -> tuple:
     # the sorted Weyl orbit of the nef curve "f1" = sum l_i - e_1 or
     # "f2" = l_{a-1}, as flat coordinate tuples
-    rs = simple_roots(ctx)
-    if rs.dynkin_label == "INFINITE":
-        raise PreconditionError("ctx", "finite type required")
+    rs = _finite_system(ctx)
     if curve == "f1":
         f = CurveClass(ctx, (1,) * (ctx.a - 1), (-1,) + (0,) * (ctx.r - 1))
     else:

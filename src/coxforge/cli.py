@@ -26,7 +26,6 @@ from .blowup_divisors import (
 )
 from .budget import effective_cap
 from .errors import CapExceeded, CoxforgeError, PreconditionError
-from .multipoly import MultiPoly
 from .nagata_invariants import (
     NagataParams,
     _odd_index_set,
@@ -36,6 +35,7 @@ from .nagata_invariants import (
 )
 from .picard_lattice import DivisorClass, LatticeContext, format_curve, format_divisor
 from .root_system import (
+    _finite_system,
     degree_one_divisors,
     dynkin_label,
     is_finite_type,
@@ -47,7 +47,6 @@ from .root_system import (
 )
 from .section_spaces import (
     PointConfig,
-    form_space,
     generation_test,
     h0,
     mult_along_curve,
@@ -164,7 +163,7 @@ def _cmd_degree_one(args) -> int:
 
 def _cmd_minuscule(args) -> int:
     ctx = _ctx_of(args)
-    rs = simple_roots(ctx)
+    rs = _finite_system(ctx)
     lam = weight_coords(DivisorClass.exceptional(ctx, ctx.r))
     weights = len(weights_of_irrep(lam, rs, cap=args.cap))
     orbit = len(weyl_orbit_weights(lam, rs, cap=args.cap))

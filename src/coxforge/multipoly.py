@@ -25,7 +25,7 @@ from functools import lru_cache
 from operator import add
 
 from .errors import PreconditionError
-from .jsonutil import decode_fraction, encode_fraction
+from .jsonutil import encode_fraction
 
 _FAMILY_ORDER = {"z": 0, "u": 1, "s": 2, "x": 3, "y": 4, "t": 5}
 
@@ -129,11 +129,6 @@ class MultiPoly:
     @classmethod
     def variable(cls, name: str) -> "MultiPoly":
         return cls((name,), {(1,): Fraction(1)})
-
-    @classmethod
-    def monomial(cls, exps_by_name: dict, coef=1) -> "MultiPoly":
-        names = tuple(exps_by_name)
-        return cls(names, {tuple(exps_by_name[n] for n in names): _coerce_coef(coef)})
 
     # -- ring structure ----------------------------------------------------
 
@@ -278,27 +273,11 @@ class MultiPoly:
 
         return MultiPoly._sum(_union(bases), products())
 
-    def evaluate(self, values: dict) -> Fraction:
-        out = Fraction(0)
-        for exps, coef in self.terms.items():
-            term = coef
-            for name, e in zip(self.vars, exps):
-                if e:
-                    term *= Fraction(values[name]) ** e
-            out += term
-        return out
-
     # -- inspection ----------------------------------------------------------
 
     def sorted_terms(self):
         """Terms in descending graded-lex order as (exps, coef) pairs."""
         return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
-
-    def leading(self):
-        """(exps, coef) of the graded-lex leading term; raises on zero."""
-        if not self.terms:
-            raise PreconditionError("poly", "zero polynomial has no leading term")
-        return self.sorted_terms()[0]
 
     # -- io -------------------------------------------------------------------
 
@@ -308,31 +287,6 @@ class MultiPoly:
             out.append({"coef": encode_fraction(coef),
                         "exps": {n: e for n, e in zip(self.vars, exps) if e}})
         return out
-
-    @classmethod
-    def from_json(cls, obj) -> "MultiPoly":
-        if not isinstance(obj, list):
-            raise PreconditionError("poly", f"expected a term list, got {obj!r}")
-        parsed = []
-        for term in obj:
-            try:
-                coef = decode_fraction(term["coef"])
-                exps = term["exps"]
-            except (KeyError, TypeError):
-                raise PreconditionError("poly", f"malformed term {term!r}") from None
-            try:
-                exps = {n: int(e) for n, e in exps.items()}
-            except (AttributeError, TypeError, ValueError):
-                raise PreconditionError("poly", f"malformed term {term!r}") from None
-            if coef:
-                _check_exponents(tuple(exps.values()))
-            parsed.append((exps, coef))
-        names = tuple({n: None for exps, _ in parsed for n in exps})
-        terms = {}
-        for exps, coef in parsed:
-            key = tuple(exps.get(n, 0) for n in names)
-            terms[key] = terms[key] + coef if key in terms else coef
-        return cls(names, terms)
 
     def __repr__(self):
         return f"MultiPoly({self})"

@@ -13,10 +13,10 @@ V the Vandermonde product prod_{u<v} (a_v - a_u) and eps(S) =
 (-1)^(sum of the 0-based positions of S in I + k(k+1)/2).  Invariance is
 decided by the two commuting locally nilpotent derivations
 D_1 = sum x_i d/dy_i and D_2 = sum a_i x_i d/dy_i whose exponential is
-the action; `nagata_substitute` applies the action itself, with t_1, t_2
-as genuine polynomial variables.  The torus grading (joint
-(x_i, y_i)-degrees plus the x/y bidegree) translates semiinvariants into
-divisor classes on the blow-up of P^n at r = n+3 points.
+the action, with t_1 and t_2 as formal parameters.  The torus grading
+(joint (x_i, y_i)-degrees plus the x/y bidegree) translates
+semiinvariants into divisor classes on the blow-up of P^n at r = n+3
+points.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ import random
 
 from .budget import effective_cap
 from .errors import CapExceeded, PreconditionError
-from .jsonutil import decode_fraction, decode_int, decode_list, encode_fraction
-from .linalg import nullspace
+from .jsonutil import encode_fraction
 from .multipoly import MultiPoly
 from .picard_lattice import DivisorClass, LatticeContext
 
@@ -66,24 +65,6 @@ class NagataParams:
 
     def to_json(self) -> dict:
         return {"r": self.r, "params": [encode_fraction(a) for a in self.params]}
-
-    @classmethod
-    def from_json(cls, obj) -> "NagataParams":
-        if not isinstance(obj, dict):
-            raise PreconditionError("params", f"expected an object, got {obj!r}")
-        try:
-            return cls(decode_int(obj["r"]),
-                       decode_list(obj["params"], decode_fraction, "params"))
-        except KeyError as missing:
-            raise PreconditionError("params", f"missing key {missing.args[0]!r}") from None
-
-
-def _x(i: int) -> MultiPoly:
-    return MultiPoly.variable(f"x_{i}")
-
-
-def _y(i: int) -> MultiPoly:
-    return MultiPoly.variable(f"y_{i}")
 
 
 def _odd_index_set(index_set, np: NagataParams) -> list:
@@ -145,20 +126,11 @@ def _check_t_free(p: MultiPoly):
         raise PreconditionError("P", "polynomial must not involve t_1 or t_2")
 
 
-def nagata_substitute(p: MultiPoly, np: NagataParams) -> MultiPoly:
-    """Apply y_i -> y_i + (t_1 + t_2 a_i) x_i with formal t_1, t_2."""
-    _check_t_free(p)
-    t1, t2 = MultiPoly.variable("t_1"), MultiPoly.variable("t_2")
-    mapping = {}
-    for i, a in enumerate(np.params, start=1):
-        mapping[f"y_{i}"] = _y(i) + (t1 + t2 * a) * _x(i)
-    return p.substitute(mapping)
-
-
 def is_invariant(p: MultiPoly, np: NagataParams) -> bool:
-    """Exact invariance under the action of `nagata_substitute`.
+    """Exact invariance under the action y_i -> y_i + (t_1 + t_2 a_i) x_i,
+    t_1 and t_2 formal.
 
-    The substitution sigma is exp(t_1 D_1 + t_2 D_2) for the derivations
+    This substitution sigma is exp(t_1 D_1 + t_2 D_2) for the derivations
     D_1 = sum_i x_i d/dy_i and D_2 = sum_i a_i x_i d/dy_i, i = 1..r: both
     kill every x_i, send y_i to x_i and a_i x_i, and so commute and are
     locally nilpotent.  The t_1 and t_2 coefficients of sigma(p) - p are
@@ -257,27 +229,3 @@ def divisor_class_of(p: MultiPoly, n: int) -> DivisorClass:
         raise PreconditionError(
             "P", f"grading mismatch: deg_x = {deg_x}, expected {(n + 2) * d - sum(m)}")
     return DivisorClass(LatticeContext(2, 2, n + 1), (d,), m)
-
-
-def build_J(np: NagataParams, n: int) -> list:
-    """The n+1 multilinear invariants sum_i c_i y_i prod_{j != i} x_j.
-
-    The coefficient vectors form the canonical reduced-echelon basis of
-    the plane sum c_i = 0, sum c_i a_i = 0.
-    """
-    if np.r != n + 3:
-        raise PreconditionError("r", f"need r = n + 3 = {n + 3}, got {np.r}")
-    basis = nullspace([[Fraction(1)] * np.r, list(np.params)], np.r)
-    out = []
-    for c in basis:
-        terms = []
-        for i, coef in enumerate(c, start=1):
-            if not coef:
-                continue
-            term = MultiPoly.monomial({f"y_{i}": 1}, coef)
-            for j in range(1, np.r + 1):
-                if j != i:
-                    term = term * _x(j)
-            terms.append(term)
-        out.append(MultiPoly.sum(terms))
-    return out

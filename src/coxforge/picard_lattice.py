@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .jsonutil import decode_int, decode_list, encode_int
+from .jsonutil import encode_int
 
 
 @dataclass(frozen=True, order=True)
@@ -89,15 +89,6 @@ class LatticeContext:
 
     def to_json(self) -> dict:
         return {"a": self.a, "b": self.b, "c": self.c}
-
-    @classmethod
-    def from_json(cls, obj) -> "LatticeContext":
-        if not isinstance(obj, dict):
-            raise PreconditionError("ctx", f"expected an object, got {obj!r}")
-        try:
-            return cls(decode_int(obj["a"]), decode_int(obj["b"]), decode_int(obj["c"]))
-        except KeyError as missing:
-            raise PreconditionError("ctx", f"missing key {missing.args[0]!r}") from None
 
 
 def _check_coords(name: str, coords, length: int) -> tuple:
@@ -217,17 +208,6 @@ class DivisorClass(_LatticeVector):
                 "h": [encode_int(v) for v in self.h],
                 "m": [encode_int(v) for v in self.m]}
 
-    @classmethod
-    def from_json(cls, obj) -> "DivisorClass":
-        if not isinstance(obj, dict):
-            raise PreconditionError("divisor", f"expected an object, got {obj!r}")
-        try:
-            ctx = LatticeContext.from_json(obj["ctx"])
-            return cls(ctx, decode_list(obj["h"], decode_int, "divisor"),
-                       decode_list(obj["m"], decode_int, "divisor"))
-        except KeyError as missing:
-            raise PreconditionError("divisor", f"missing key {missing.args[0]!r}") from None
-
 
 @dataclass(frozen=True)
 class CurveClass(_LatticeVector):
@@ -257,16 +237,6 @@ class CurveClass(_LatticeVector):
     def to_json(self) -> dict:
         return {"l": [encode_int(v) for v in self.l],
                 "e": [encode_int(v) for v in self.e]}
-
-    @classmethod
-    def from_json(cls, obj, ctx: LatticeContext) -> "CurveClass":
-        if not isinstance(obj, dict):
-            raise PreconditionError("curve", f"expected an object, got {obj!r}")
-        try:
-            return cls(ctx, decode_list(obj["l"], decode_int, "curve"),
-                       decode_list(obj["e"], decode_int, "curve"))
-        except KeyError as missing:
-            raise PreconditionError("curve", f"missing key {missing.args[0]!r}") from None
 
 
 def pairing_coords(ctx: LatticeContext, h1, m1, h2, m2):

@@ -40,7 +40,6 @@ from .picard_lattice import (
     _check_coords,
     anticanonical,
     canonical_class,
-    intersect,
     pairing,
 )
 
@@ -96,10 +95,6 @@ class RootSystemData:
     dynkin_label: str
     cartan: tuple
 
-    @property
-    def rank(self) -> int:
-        return len(self.simple_roots)
-
 
 @lru_cache(maxsize=256)
 def simple_roots(ctx: LatticeContext) -> RootSystemData:
@@ -125,6 +120,14 @@ def _require_root(alpha: DivisorClass):
         raise PreconditionError("alpha", "reflection axis must have self-pairing -2")
 
 
+def _finite_system(ctx: LatticeContext) -> RootSystemData:
+    """The simple roots of a context of finite type; the one finite-type check."""
+    rs = simple_roots(ctx)
+    if rs.dynkin_label == "INFINITE":
+        raise PreconditionError("ctx", "finite type required")
+    return rs
+
+
 def reflect(alpha: DivisorClass, d: DivisorClass) -> DivisorClass:
     """Orthogonal reflection of a divisor class in a norm -2 vector.
 
@@ -141,16 +144,6 @@ def _dual(v: DivisorClass) -> tuple:
     # flat curve coordinates g with intersect(D, g) = pairing(D, v) for every D
     sp = sum(v.h)
     return tuple((v.ctx.c - 1) * sp - p for p in v.h) + tuple(-q for q in v.m)
-
-
-def reflect_curve(alpha: DivisorClass, g: CurveClass) -> CurveClass:
-    """The reflection induced on curve classes.
-
-    Defined by compatibility with the divisor action: intersection numbers
-    against reflected divisors are preserved.
-    """
-    _require_root(alpha)
-    return g + intersect(alpha, g) * CurveClass.from_coords(alpha.ctx, _dual(alpha))
 
 
 def _orbit(start: tuple, moves, cap: int, what: str) -> list:
@@ -176,7 +169,7 @@ def _orbit(start: tuple, moves, cap: int, what: str) -> list:
 
 
 def _check_roots(rs: RootSystemData, ctx: LatticeContext, detail: str):
-    # what reflect and reflect_curve demand of each axis, asked once per orbit
+    # what reflect demands of each axis, asked once per orbit
     for alpha in rs.simple_roots:
         _require_root(alpha)
         if alpha.ctx != ctx:
@@ -217,23 +210,7 @@ def weight_coords(d: DivisorClass) -> tuple:
     return tuple(pairing(d, alpha) for alpha in rs.simple_roots)
 
 
-def _cartan_of(rs) -> tuple:
-    """Accept RootSystemData or a bare Cartan matrix (rank-1 test rigs)."""
-    if isinstance(rs, RootSystemData):
-        return rs.cartan
-    cartan = tuple(tuple(row) for row in rs)
-    for i, row in enumerate(cartan):
-        if len(row) != len(cartan):
-            raise PreconditionError("cartan", "matrix must be square")
-        for v in row:
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise PreconditionError("cartan", f"entries must be integers, got {v!r}")
-        if row[i] != 2:
-            raise PreconditionError("cartan", f"diagonal entry {i} is {row[i]}, not 2")
-    return cartan
-
-
-def weights_of_irrep(lam, rs, cap: int | None = None):
+def weights_of_irrep(lam, rs: RootSystemData, cap: int | None = None):
     """Weight system of the irreducible module with highest weight lam.
 
     String saturation: from every known weight mu with mu_i > 0 the whole
@@ -241,7 +218,7 @@ def weights_of_irrep(lam, rs, cap: int | None = None):
     For a dominant lam this closure is the full weight set.  Weights are
     coordinate tuples; the result is lexicographically sorted.
     """
-    cartan = _cartan_of(rs)
+    cartan = rs.cartan
     n = len(cartan)
     lam = _check_coords("lambda", lam, n)
     if any(v < 0 for v in lam):
@@ -264,12 +241,12 @@ def weights_of_irrep(lam, rs, cap: int | None = None):
     return tuple(sorted(seen))
 
 
-def weyl_orbit_weights(w, rs, cap: int | None = None):
+def weyl_orbit_weights(w, rs: RootSystemData, cap: int | None = None):
     """Weyl orbit of a weight in coordinates, sorted.
 
     The simple reflection acts by s_i(w) = w - w_i alpha_i.
     """
-    cartan = _cartan_of(rs)
+    cartan = rs.cartan
     n = len(cartan)
     w = _check_coords("weight", w, n)
     cap = effective_cap(cap)
@@ -290,17 +267,13 @@ def is_minuscule(ctx: LatticeContext, cap: int | None = None) -> bool:
     >>> is_minuscule(LatticeContext(2, 3, 4))
     False
     """
-    rs = simple_roots(ctx)
-    if rs.dynkin_label == "INFINITE":
-        raise PreconditionError("ctx", "finite type required")
+    rs = _finite_system(ctx)
     lam = _top_weight(ctx)
     return weights_of_irrep(lam, rs, cap) == weyl_orbit_weights(lam, rs, cap)
 
 
 def _degree_one_system(ctx: LatticeContext) -> RootSystemData:
-    rs = simple_roots(ctx)
-    if rs.dynkin_label == "INFINITE":
-        raise PreconditionError("ctx", "finite type required")
+    rs = _finite_system(ctx)
     k = canonical_class(ctx)
     if pairing(k, k) == 0:
         raise PreconditionError("ctx", "pairing(K, K) = 0")

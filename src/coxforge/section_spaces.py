@@ -5,9 +5,9 @@ A divisor class d H - sum m_i E_i is realized as the space of degree-d
 forms in z_0..z_n, coefficient vectors over `monomial_exponents(n, d)`,
 vanishing to order at least m_i at the curve points p_i = (1, a_i, .., a_i^n).
 One row builder, `_rows` (the integer partials of the monomials at an
-integer point), yields the conditions of h0, the multiplicity and initial
-form at a point and the order along the curve, all exactly.  A
-`PointConfig` scales its points to integers once and keeps every block of
+integer point), yields the conditions of h0, the multiplicity at a point
+and the order along the curve, all exactly.
+A `PointConfig` scales its points to integers once and keeps every block of
 conditions it has built, per (degree, point, order), for as long as it
 lives, so a pass that asks hundreds of classes on one configuration builds
 each block once; other points are not kept.  It also keeps the echelon of
@@ -29,14 +29,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import factorial, inf, lcm, perm, prod
+from math import inf, lcm, perm, prod
 from operator import add, mul
 import random
 
 from .blowup_divisors import BlowupContext, enumerate_minimal
 from .budget import effective_cap
 from .errors import CapExceeded, PreconditionError
-from .jsonutil import decode_fraction, decode_int, decode_list, encode_fraction
+from .jsonutil import encode_fraction
 from .linalg import RowEchelon, echelon
 from .multipoly import MultiPoly, _lift
 from .picard_lattice import DivisorClass, LatticeContext, hdeg
@@ -105,16 +105,6 @@ class PointConfig:
     def to_json(self) -> dict:
         return {"n": self.n, "r": self.r,
                 "params": [encode_fraction(a) for a in self.params]}
-
-    @classmethod
-    def from_json(cls, obj) -> "PointConfig":
-        if not isinstance(obj, dict):
-            raise PreconditionError("config", f"expected an object, got {obj!r}")
-        try:
-            return cls(decode_int(obj["n"]), decode_int(obj["r"]),
-                       decode_list(obj["params"], decode_fraction, "config"))
-        except KeyError as missing:
-            raise PreconditionError("config", f"missing key {missing.args[0]!r}") from None
 
 
 def _match(d: DivisorClass, cfg: PointConfig):
@@ -239,8 +229,9 @@ def form_from_vector(n: int, d: int, vec) -> MultiPoly:
 
 
 def _form_vector(f: MultiPoly, n: int) -> tuple:
-    """(d, s, vec): the degree of a nonzero form f in z_0..z_n, the least s > 0
-    making s f integral, and s f as a vector; the one reader of z_i names."""
+    """(d, vec): the degree of a nonzero form f in z_0..z_n and s f as a
+    vector, s > 0 the least scale making it integral; the one reader of z_i
+    names."""
     names = _z_names(n)
     if any(v not in names for v in f.vars):
         raise PreconditionError("F", f"variables must lie in z_0..z_{n}")
@@ -252,8 +243,8 @@ def _form_vector(f: MultiPoly, n: int) -> tuple:
     (deg,) = degrees
     coefs = _lift(f, names)
     scale = lcm(*(c.denominator for c in coefs.values()))
-    return deg, scale, [int(coefs[g] * scale) if g in coefs else 0
-                        for g in monomial_exponents(n, deg)]
+    return deg, [int(coefs[g] * scale) if g in coefs else 0
+                  for g in monomial_exponents(n, deg)]
 
 
 def section_vector(d: DivisorClass, cfg: PointConfig) -> tuple:
@@ -283,44 +274,19 @@ def _partials(rows, vec) -> list:
     return [sum(a * c for a, c in zip(row, vec) if c) for row in rows]
 
 
-def _lowest_partials(n: int, deg: int, vec, rep: tuple, chart: int) -> tuple:
-    """(o, values): the least order o at which the nonzero form `vec` has a
-    nonvanishing partial at the integer point (rep, chart), and the order-o
-    partials there.  In the chart the form is a nonzero polynomial of degree
-    <= deg, so some o <= deg qualifies."""
-    for order in range(deg + 1):
-        values = _partials(_rows(n, deg, rep, chart, order), vec)
-        if any(values):
-            return order, values
-
-
 def mult_at_point(f: MultiPoly, p):
     """Smallest total order of a nonvanishing derivative of f at p; the
-    zero form returns the +infinity sentinel."""
+    zero form returns the +infinity sentinel.  In the chart of p's first
+    nonzero coordinate a nonzero form of degree d is a nonzero polynomial
+    of degree <= d, so some order <= d qualifies."""
     if f.is_zero():
         return inf
     n = len(p) - 1
-    deg, _, vec = _form_vector(f, n)
-    return _lowest_partials(n, deg, vec, *_representative(p))[0]
-
-
-def initial_form_at_point(f: MultiPoly, p) -> MultiPoly:
-    """Lowest-degree homogeneous part of f in affine coordinates u_1..u_n at
-    p, in the chart of p's first nonzero coordinate c: the coefficient of
-    u^beta is d^beta f(p / p_c) / beta! = d^beta (s f)(P) / (s P_c^(d - o) beta!).
-
-    >>> F = MultiPoly.variable("z_1") * MultiPoly.variable("z_2")
-    >>> str(initial_form_at_point(F, (1, 0, 0)))
-    'u_1*u_2'
-    """
-    n = len(p) - 1
-    deg, scale, vec = _form_vector(f, n)
+    deg, vec = _form_vector(f, n)
     rep, chart = _representative(p)
-    order, values = _lowest_partials(n, deg, vec, rep, chart)
-    scale *= rep[chart] ** (deg - order)
-    return MultiPoly(tuple(f"u_{t}" for t in range(1, n + 1)),
-                     {beta: Fraction(v, scale * prod(map(factorial, beta)))
-                      for beta, v in zip(monomial_exponents(n - 1, order), values)})
+    for order in range(deg + 1):
+        if any(_partials(_rows(n, deg, rep, chart, order), vec)):
+            return order
 
 
 def mult_along_curve(f: MultiPoly, cfg: PointConfig) -> int:
@@ -335,7 +301,7 @@ def mult_along_curve(f: MultiPoly, cfg: PointConfig) -> int:
     when all homogeneous partials do.  Exact arithmetic needs no fallback.
     """
     n = cfg.n
-    deg, _, vec = _form_vector(f, n)
+    deg, vec = _form_vector(f, n)
     curve = [tuple(s ** j for j in range(n + 1)) for s in range(deg * n + 1)]
     for order in range(deg + 1):
         if any(any(_partials(_point_rows(n, deg, q, order), vec))

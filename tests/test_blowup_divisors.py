@@ -47,7 +47,6 @@ def test_context_properties():
     assert BlowupContext(3, 7).alpha == 2
     with pytest.raises(PreconditionError):
         BlowupContext(3, 5)
-    assert BlowupContext.from_json(BC36.to_json()) == BC36
 
 
 def test_minimal_class_shape():

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from coxforge.blowup_divisors import decompose_degree1
 from coxforge.cli import main
 from coxforge.picard_lattice import DivisorClass, LatticeContext, degree
 from coxforge.root_system import simple_roots, weyl_orbit
@@ -41,8 +42,8 @@ def test_orbit_defaults_to_last_exceptional(capsys):
     payload = run_json(capsys, "orbit", "--ctx", "2,2,3")
     assert payload["count"] == 16
     ctx = LatticeContext(2, 2, 3)
-    parsed = [DivisorClass.from_json(obj) for obj in payload["orbit"]]
-    assert parsed == list(weyl_orbit(DivisorClass.exceptional(ctx, 5), simple_roots(ctx)))
+    orbit = weyl_orbit(DivisorClass.exceptional(ctx, 5), simple_roots(ctx))
+    assert payload["orbit"] == [d.to_json() for d in orbit]
 
 
 def test_output_is_byte_deterministic(capsys):
@@ -62,8 +63,8 @@ def test_minimal_and_project(capsys):
                        "--d", "1", "--m", "0,1,1,1,0,0", "--classify")
     assert payload["case"] == "SPECIAL"
     assert payload["target"] == {"n": 2, "r": 5}
-    image = DivisorClass.from_json(payload["class"])
-    assert image.h == (0,) and image.m == (0, 0, 0, -1, -1)
+    image = DivisorClass(LatticeContext(2, 2, 3), (0,), (0, 0, 0, -1, -1))
+    assert payload["class"] == image.to_json()
 
 
 def test_decompose_table_and_degree_one(capsys):
@@ -73,9 +74,11 @@ def test_decompose_table_and_degree_one(capsys):
     assert len(out.strip().splitlines()) == 5
     payload = run_json(capsys, "decompose", "--ctx", "2,2,3", "--d", "3",
                        "--m", "1,1,1,1,1", "--degree-one")
-    parts = [DivisorClass.from_json(obj) for obj in payload["parts"]]
     ctx = LatticeContext(2, 2, 3)
-    assert sum(parts, DivisorClass.zero(ctx)).m == (1, 1, 1, 1, 1)
+    d = DivisorClass(ctx, (3,), (1, 1, 1, 1, 1))
+    parts = decompose_degree1(d)
+    assert payload["parts"] == [p.to_json() for p in parts]
+    assert sum(parts, DivisorClass.zero(ctx)) == d
 
 
 def test_decompose_degree_one_fits_a_small_cap(capsys):
@@ -83,10 +86,12 @@ def test_decompose_degree_one_fits_a_small_cap(capsys):
     # where the search without it needs 46,725
     argv = ("decompose", "--ctx", "2,3,3", "--d", "12", "--m", "4,4,4,4,4,4", "--degree-one")
     payload = run_json(capsys, *argv, "--cap", "100")
-    parts = [DivisorClass.from_json(obj) for obj in payload["parts"]]
-    assert len(parts) == 12
     ctx = LatticeContext(2, 3, 3)
-    assert sum(parts, DivisorClass.zero(ctx)) == DivisorClass(ctx, (12,), (4,) * 6)
+    d = DivisorClass(ctx, (12,), (4,) * 6)
+    parts = decompose_degree1(d)
+    assert payload["parts"] == [p.to_json() for p in parts]
+    assert len(parts) == 12
+    assert sum(parts, DivisorClass.zero(ctx)) == d
     assert all(degree(p) == 1 for p in parts)
     code, out, err = run(capsys, *argv, "--cap", "11")
     assert (code, out) == (2, "")
@@ -129,7 +134,7 @@ def test_invariant_verbs(capsys):
     payload = run_json(capsys, "invariant", "check", "--all", "--r", "5")
     assert payload == {"checked": 16, "invariant": True}
     payload = run_json(capsys, "invariant", "class", "-I", "3,4,5", "--n", "2")
-    assert DivisorClass.from_json(payload).m == (1, 1, 0, 0, 0)
+    assert payload == DivisorClass(LatticeContext(2, 2, 3), (1,), (1, 1, 0, 0, 0)).to_json()
 
 
 def test_verify_quick_profile(capsys):
@@ -184,6 +189,17 @@ def test_precondition_exit_1_with_payload(capsys):
     code, _, err = run(capsys, "decompose", "--n", "3", "--d", "1", "--m", "0,0,0,0")
     assert code == 1
     assert json.loads(err)["error"]["field"] == "r"
+
+
+def test_minuscule_refuses_infinite_type(capsys):
+    # checked before any weight is saturated, as in is_minuscule
+    for triple in ("2,4,4", "3,3,3"):
+        code, out, err = run(capsys, "minuscule", "--ctx", triple)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": {"detail": "finite type required",
+                                             "field": "ctx", "type": "precondition"}}
+    payload = run_json(capsys, "minuscule", "--ctx", "2,3,4")
+    assert payload == {"minuscule": False, "orbit": 126, "weights": 127}
 
 
 def test_cap_exit_2_with_payload(capsys, monkeypatch):

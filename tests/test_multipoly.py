@@ -8,7 +8,6 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxforge.errors import PreconditionError
 from coxforge.multipoly import MultiPoly, var_key
 
 X0, X1, Y1 = (MultiPoly.variable(v) for v in ("x_0", "x_1", "y_1"))
@@ -22,6 +21,17 @@ def random_poly(rng, names, max_terms=6, max_exp=4, max_coef=9):
         key = tuple(exps[v] for v in names)
         terms[key] = terms.get(key, 0) + coef
     return MultiPoly(tuple(names), terms)
+
+
+def evaluate(p, values):
+    """p at the rational point `values`, term by term."""
+    out = Fraction(0)
+    for exps, coef in p.terms.items():
+        term = coef
+        for name, e in zip(p.vars, exps):
+            term *= Fraction(values[name]) ** e
+        out += term
+    return out
 
 
 def to_sympy(p):
@@ -153,60 +163,6 @@ def test_substitute_leaves_other_variables_alone():
     assert p.substitute({"x_1": MultiPoly.const(5)}) == p
 
 
-def test_evaluate_matches_sympy():
-    rng = random.Random(45)
-    names = ("x_0", "x_1")
-    for _ in range(40):
-        p = random_poly(rng, names)
-        vals = {v: Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for v in names}
-        want = to_sympy(p).subs({sympy.Symbol(v): sympy.Rational(q.numerator, q.denominator)
-                                 for v, q in vals.items()})
-        got = p.evaluate(vals)
-        assert sympy.Rational(got.numerator, got.denominator) == want
-
-
-def test_leading_is_graded_lex_maximum():
-    p = X0 ** 2 + X0 * X1 + X1
-    exps, coef = p.leading()
-    assert coef == 1
-    assert dict(zip(p.vars, exps)) == {"x_0": 2, "x_1": 0}
-
-
-def test_leading_of_zero_raises():
-    with pytest.raises(PreconditionError):
-        MultiPoly.zero().leading()
-
-
-def test_json_round_trip():
-    rng = random.Random(46)
-    for _ in range(30):
-        p = random_poly(rng, ("x_0", "x_1", "y_1"))
-        assert MultiPoly.from_json(p.to_json()) == p
-
-
-def test_json_accumulates_repeated_monomials():
-    obj = [{"coef": "1", "exps": {"x_1": 1}}, {"coef": "-1", "exps": {"x_1": 1}},
-           {"coef": "1/2", "exps": {"y_1": 2, "x_0": 0}}, {"coef": "3", "exps": {"y_1": 2}},
-           {"coef": "0", "exps": {"x_0": -1}}]
-    p = MultiPoly.from_json(obj)
-    assert p == Fraction(7, 2) * Y1 ** 2 and p.vars == ("y_1",)
-
-
-@pytest.mark.parametrize("obj, field", [
-    ({"coef": "1"}, "poly"),
-    ([{"coef": "1"}], "poly"),
-    (["x_0"], "poly"),
-    ([{"coef": "1/0", "exps": {}}], "rational"),
-    ([{"coef": "1", "exps": {"x_0": 1}}, {"coef": "2", "exps": {"x_0": -1}}], "terms"),
-    ([{"coef": "1", "exps": ["x_0"]}], "poly"),
-    ([{"coef": "1", "exps": {"x_0": "two"}}], "poly"),
-])
-def test_json_malformed_terms_raise(obj, field):
-    with pytest.raises(PreconditionError) as err:
-        MultiPoly.from_json(obj)
-    assert err.value.field == field
-
-
 def test_json_terms_are_sorted_and_deterministic():
     p = X1 + X0 ** 2
     assert p.to_json() == (X0 ** 2 + X1).to_json()
@@ -302,8 +258,8 @@ def test_ring_operations_match_a_public_rebuild(p, q, name):
     assert_normalized(total)
     assert_normalized(prod)
     assert_normalized(p - q)
-    assert total.evaluate(at) == p.evaluate(at) + q.evaluate(at)
-    assert prod.evaluate(at) == p.evaluate(at) * q.evaluate(at)
+    assert evaluate(total, at) == evaluate(p, at) + evaluate(q, at)
+    assert evaluate(prod, at) == evaluate(p, at) * evaluate(q, at)
     image = p.substitute({name: q})
     assert_normalized(image)
-    assert image.evaluate(at) == p.evaluate({**at, name: q.evaluate(at)})
+    assert evaluate(image, at) == evaluate(p, {**at, name: evaluate(q, at)})

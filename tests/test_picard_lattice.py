@@ -183,25 +183,6 @@ def test_hdeg_only_for_single_factor():
         hdeg(DivisorClass(CTX323, (1, 1), (0, 0, 0, 0, 0)))
 
 
-def test_json_round_trips():
-    rng = random.Random(63)
-    for ctx in (CTX223, CTX323):
-        assert LatticeContext.from_json(ctx.to_json()) == ctx
-        d = random_class(rng, ctx)
-        assert DivisorClass.from_json(d.to_json()) == d
-        g = CurveClass(ctx, tuple(rng.randint(-2, 2) for _ in range(ctx.a - 1)),
-                       tuple(rng.randint(-2, 2) for _ in range(ctx.r)))
-        assert CurveClass.from_json(g.to_json(), ctx) == g
-        for key, bad in (("h", 3), ("m", "12345"), ("m", None)):
-            with pytest.raises(PreconditionError) as err:
-                DivisorClass.from_json({**d.to_json(), key: bad})
-            assert err.value.field == "divisor"
-        for key, bad in (("l", 1), ("e", "0")):
-            with pytest.raises(PreconditionError) as err:
-                CurveClass.from_json({**g.to_json(), key: bad}, ctx)
-            assert err.value.field == "curve"
-
-
 def test_format_divisor_readable():
     assert format_divisor(anticanonical(CTX223)) == \
         "3H - E_1 - E_2 - E_3 - E_4 - E_5"

@@ -1,0 +1,40 @@
+"""The package's public names: a frozen list, every name resolving, and no
+class that reads JSON back (the package writes JSON and never parses it)."""
+
+import importlib
+import inspect
+import pkgutil
+
+import coxforge
+
+PUBLIC = [
+    "BlowupContext", "CapExceeded", "CheckResult", "CoxforgeError",
+    "CurveClass", "DivisorClass", "FormSpace", "GenerationReport",
+    "LatticeContext", "MembershipResult", "MultiPoly", "NagataParams",
+    "PointConfig", "PreconditionError", "ProjectionResult", "Report",
+    "RootSystemData", "SingularMatrixError", "anticanonical", "build_F",
+    "canonical_class", "classify_minimal_projection", "decompose_degree1",
+    "degree", "degree_one_divisors", "divisor_class_of", "dynkin_label",
+    "eff_membership", "effective_decompose", "enumerate_minimal",
+    "form_space", "format_curve", "format_divisor", "generation_test", "h0",
+    "hdeg", "intersect", "is_finite_type", "is_invariant", "is_minuscule",
+    "minimal_class", "minimal_parameters", "mult_along_curve",
+    "mult_at_point", "mult_lower_bound", "pairing", "project_class",
+    "reflect", "render_report", "run_all", "run_criterion", "section_of",
+    "simple_roots", "torus_weight", "weight_coords", "weights_of_irrep",
+    "weyl_orbit", "weyl_orbit_curves", "weyl_orbit_weights",
+]
+
+
+def test_public_names_are_frozen_and_resolve():
+    assert sorted(coxforge.__all__) == PUBLIC
+    for name in PUBLIC:
+        assert getattr(coxforge, name) is not None
+
+
+def test_no_class_defines_a_json_reader():
+    for info in pkgutil.iter_modules(coxforge.__path__):
+        module = importlib.import_module(f"coxforge.{info.name}")
+        for _, cls in inspect.getmembers(module, inspect.isclass):
+            if cls.__module__ == module.__name__:
+                assert "from_json" not in vars(cls), cls.__qualname__
