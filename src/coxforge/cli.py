@@ -278,6 +278,8 @@ def _nagata_params(args, smallest: int = 5) -> NagataParams:
     if args.r is not None:
         r = args.r
     elif args.n is not None:
+        if args.n < 2:
+            raise PreconditionError("n", f"need an integer n >= 2, got {args.n}")
         r = args.n + 3
     elif args.indices:
         r = max(smallest, max(args.indices))

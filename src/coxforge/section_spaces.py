@@ -15,12 +15,14 @@ the last section space it was asked about, so `h0`, `form_space` and
 `section_of` on one class eliminate its conditions once: h0 is the width
 less the rank, and the kernel is read off the same echelon.  The
 generation test multiplies the unique sections of the minimal divisors
-and compares the span against the full section space.  There a degree-d form is held by its
-integer values at the principal lattice (1, e_1, .., e_n), e in
-`monomial_exponents(n, d)`, the same index set as its coefficients.  The
-lattice is unisolvent for degree d (Nicolaides 1972; Chung and Yao 1977),
-so evaluation is a bijection on degree-d forms: spans keep their ranks,
-and a product of forms is the pointwise product of their values.
+and compares the span against the full section space.  There a degree-d
+form is held by its integer values at the principal lattice
+(1, e_1, .., e_n), e in `monomial_exponents(n, d)`, the same index set as
+its coefficients.  The lattice is unisolvent for degree d (Nicolaides 1972;
+Chung and Yao 1977), so evaluation is a bijection on degree-d forms: spans
+keep their ranks, and a product of forms is the pointwise product of their
+values.  The configuration keeps the test's generator list, their integer
+sections and their grid values too; no module-level cache is keyed on one.
 """
 
 from __future__ import annotations
@@ -49,14 +51,14 @@ GENERATION_NODE_CAP = 10 ** 5
 class PointConfig:
     """r distinct parameters a_i marking points on the rational normal curve.
 
-    A configuration also keeps its points' integer representatives, a memo
-    of the condition blocks `_condition_rows` has built, keyed by (d, i,
-    order), and the echelon of the last section space asked about, keyed by
-    (d, mults); none of them takes part in equality, hashing, repr or JSON.
-    For the degrees d asked, the memo holds at most r * sum(d + 1) blocks,
-    the slot one echelon, and both live as long as the configuration: in
-    the package only the bounded caches `_generators` and `_section_terms`
-    keep configurations alive.
+    A configuration also keeps its points' integer representatives and the
+    section layer's memos: the condition blocks `_condition_rows` has built,
+    keyed by (d, i, order); the echelon of the last section space asked
+    about, keyed by (d, mults); and the generation test's generators, their
+    integer section terms and their values per degree.  None takes part in
+    equality, hashing, repr or JSON.  For the degrees d asked they hold at
+    most r * sum(d + 1) blocks, one echelon, and one entry per generator and
+    per (degree, generator); all live exactly as long as the configuration.
 
     >>> PointConfig.default(2, 5).params
     (Fraction(1, 1), Fraction(2, 1), Fraction(3, 1), Fraction(4, 1), Fraction(5, 1))
@@ -68,6 +70,9 @@ class PointConfig:
     _reps: tuple = field(init=False, repr=False, compare=False)
     _blocks: dict = field(init=False, repr=False, compare=False)
     _echelon: tuple = field(init=False, repr=False, compare=False)
+    _gens: tuple = field(init=False, repr=False, compare=False)
+    _terms: dict = field(init=False, repr=False, compare=False)
+    _values: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         BlowupContext(self.n, self.r)  # validates n and r
@@ -80,6 +85,9 @@ class PointConfig:
         object.__setattr__(self, "_reps", tuple(map(_representative, self.points())))
         object.__setattr__(self, "_blocks", {})
         object.__setattr__(self, "_echelon", None)
+        object.__setattr__(self, "_gens", None)
+        object.__setattr__(self, "_terms", {})
+        object.__setattr__(self, "_values", {})
 
     @classmethod
     def default(cls, n: int, r: int) -> "PointConfig":
@@ -316,40 +324,19 @@ class GenerationReport:
     generated: bool
 
 
-@lru_cache(maxsize=32)
-def _generators(cfg: PointConfig, deg: int) -> tuple:
-    """(gens, values) for the generation tests of H-degree deg on cfg.
-
-    gens holds the minimal classes of H-degree <= deg as (k, m, class), in
-    search order: H-degree descending, then `sort_key`.  values maps an index
-    into gens to the section's values on the grid of `generation_test`, and
-    is filled on first use.  A pass of the generation benchmark meets 18
-    (cfg, deg) pairs and the full criterion 9 of `verify` meets 26, so 32
-    entries hold either working set.
-    """
-    gens = sorted(((hdeg(g), g.m, g) for g in enumerate_minimal(cfg.blowup_context())
-                   if hdeg(g) <= deg), key=lambda t: (-t[0], t[2].sort_key()))
-    return tuple(gens), {}
-
-
-@lru_cache(maxsize=256)
-def _section_terms(g: DivisorClass, cfg: PointConfig) -> tuple:
-    """The section of g scaled to integer coefficients, as pairs (exponents
-    of z_1..z_n, c) over its nonzero monomials; spans do not see the scale,
-    and integer products are cheaper than Fraction ones.  Solved once per
-    configuration for every degree that multiplies it: the full criterion 9
-    of `verify` meets 173 sections and a pass of the generation benchmark
-    131, so 256 entries hold either working set."""
-    vec = section_vector(g, cfg)
-    scale = lcm(*(c.denominator for c in vec))
-    return tuple((m[1:], int(c * scale))
-                 for m, c in zip(monomial_exponents(cfg.n, hdeg(g)), vec) if c)
-
-
-def _grid_values(g: DivisorClass, cfg: PointConfig, deg: int) -> list:
-    """The section of g at the points (1, e_1, .., e_n) for e in
-    monomial_exponents(cfg.n, deg)."""
-    terms = _section_terms(g, cfg)
+def _grid_values(j: int, cfg: PointConfig, deg: int) -> list:
+    """The section of cfg's generator j at the points (1, e_1, .., e_n) for
+    e in monomial_exponents(cfg.n, deg).  The section is solved once per
+    configuration and kept in cfg's memo scaled to integer coefficients, as
+    pairs (exponents of z_1..z_n, c) over its nonzero monomials; spans do not
+    see the scale, and integer products are cheaper than Fraction ones."""
+    if j not in cfg._terms:
+        k, _, g = cfg._gens[j]
+        vec = section_vector(g, cfg)
+        scale = lcm(*(c.denominator for c in vec))
+        cfg._terms[j] = tuple((m[1:], int(c * scale))
+                              for m, c in zip(monomial_exponents(cfg.n, k), vec) if c)
+    terms = cfg._terms[j]
     return [sum(c * prod(map(pow, e[1:], m)) for m, c in terms)
             for e in monomial_exponents(cfg.n, deg)]
 
@@ -368,25 +355,31 @@ def generation_test(d: DivisorClass, cfg: PointConfig,
     Each product enters the span as its values on the principal lattice of
     degree hdeg(d), the pointwise product of its factors' values there (see
     the module docstring); the rank after every product is the rank its
-    coefficient vectors would give.  A generator's values are computed the
-    first time a product uses it and kept per (configuration, degree), so
-    a configuration that answers few tests, as a single CLI call does,
-    evaluates only the generators their products use.
+    coefficient vectors would give.  cfg lists its generators once, and
+    solves a generator's section and its values per degree the first time a
+    product uses them, keeping all three; so a configuration that answers
+    few tests, as a single CLI call does, solves only the generators their
+    products use.  The size caps are checked before h0 builds any condition.
     """
     _match(d, cfg)
     if cfg.n > 4:
         raise PreconditionError("n", "generation test capped at ambient dimension 4")
     deg = hdeg(d)
-    dim = h0(d, cfg)
     if deg < 0:
-        return GenerationReport(dim, 0, dim == 0)
+        return GenerationReport(0, 0, True)
     cols = monomial_exponents(cfg.n, deg)
     if len(cols) > GENERATION_MONOMIAL_CAP:
         raise CapExceeded("generation monomial basis", GENERATION_MONOMIAL_CAP)
     budget = effective_cap(cap, default=GENERATION_NODE_CAP)
+    dim = h0(d, cfg)
     if dim == 0:
         return GenerationReport(0, 0, True)
-    gens, values = _generators(cfg, deg)
+    if cfg._gens is None:
+        object.__setattr__(cfg, "_gens", tuple(sorted(
+            ((hdeg(g), g.m, g) for g in enumerate_minimal(cfg.blowup_context())),
+            key=lambda t: (-t[0], t[2].sort_key()))))
+    gens = cfg._gens
+    values = cfg._values.setdefault(deg, {})
     span = RowEchelon(len(cols))
     nodes = 0
 
@@ -401,7 +394,7 @@ def generation_test(d: DivisorClass, cfg: PointConfig,
             product = [1] * len(cols)
             for j in parts:
                 if j not in values:
-                    values[j] = _grid_values(gens[j][2], cfg, deg)
+                    values[j] = _grid_values(j, cfg, deg)
                 product = map(mul, product, values[j])
             span.add(list(product))
             return span.rank == dim

@@ -1,6 +1,8 @@
-"""Every lru_cache in the package is bounded."""
+"""Every lru_cache in the package is bounded, and none is keyed on a
+configuration: a `PointConfig` keeps its own memos."""
 
 import importlib
+import inspect
 import pkgutil
 
 import coxforge
@@ -15,11 +17,18 @@ def cached_functions():
             for name, value in vars(holder).items():
                 func = getattr(value, "__func__", value)
                 if hasattr(func, "cache_parameters") and func.__module__ == module.__name__:
-                    yield f"{module.__name__}.{name}", func.cache_parameters()
+                    yield f"{module.__name__}.{name}", func
 
 
 def test_every_lru_cache_has_an_integer_maxsize():
     found = dict(cached_functions())
-    assert "coxforge.section_spaces._generators" in found
-    for name, params in found.items():
-        assert isinstance(params["maxsize"], int), name
+    assert "coxforge.section_spaces.monomial_exponents" in found
+    for name, func in found.items():
+        assert isinstance(func.cache_parameters()["maxsize"], int), name
+
+
+def test_no_lru_cache_is_keyed_on_a_configuration():
+    for name, func in cached_functions():
+        annotations = [getattr(p.annotation, "__name__", p.annotation)
+                       for p in inspect.signature(func).parameters.values()]
+        assert "PointConfig" not in annotations, name

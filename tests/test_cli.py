@@ -189,6 +189,10 @@ def test_precondition_exit_1_with_payload(capsys):
     code, _, err = run(capsys, "decompose", "--n", "3", "--d", "1", "--m", "0,0,0,0")
     assert code == 1
     assert json.loads(err)["error"]["field"] == "r"
+    code, _, err = run(capsys, "invariant", "check", "--n", "1")
+    assert code == 1
+    assert json.loads(err)["error"] == {"detail": "need an integer n >= 2, got 1",
+                                        "field": "n", "type": "precondition"}
 
 
 def test_minuscule_refuses_infinite_type(capsys):

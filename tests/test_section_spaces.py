@@ -20,6 +20,7 @@ from coxforge.errors import CapExceeded, PreconditionError
 from coxforge.linalg import RowEchelon, rank
 from coxforge.multipoly import MultiPoly
 from coxforge.picard_lattice import DivisorClass, anticanonical, hdeg
+from coxforge.root_system import reflect, simple_roots
 from coxforge.section_spaces import (
     GenerationReport,
     PointConfig,
@@ -270,13 +271,21 @@ def test_generation_small_cases():
     assert empty == GenerationReport(0, 0, True)
 
 
-def test_generation_caps_and_bounds():
+def test_generation_caps_and_bounds(monkeypatch):
     ctx = CFG25.lattice_context()
     with pytest.raises(CapExceeded):
         generation_test(anticanonical(ctx), CFG25, cap=2)
     cfg58 = PointConfig.default(5, 8)
     with pytest.raises(PreconditionError):
         generation_test(DivisorClass.hyperplane(cfg58.lattice_context()), cfg58)
+    # the size cap fires before the section space is eliminated
+    asked = _count_conditions(monkeypatch)
+    cfg = PointConfig.default(2, 5)
+    huge = DivisorClass(ctx, (200,), (100,) * 5)
+    with pytest.raises(CapExceeded) as info:
+        generation_test(huge, cfg)
+    assert (info.value.what, info.value.cap) == ("generation monomial basis", 20000)
+    assert not asked and not cfg._blocks and cfg._echelon is None
 
 
 def test_generation_solves_each_section_once_per_configuration(monkeypatch):
@@ -287,14 +296,19 @@ def test_generation_solves_each_section_once_per_configuration(monkeypatch):
         return section_vector(d, cfg)
 
     monkeypatch.setattr(section_spaces, "section_vector", counted)
-    section_spaces._section_terms.cache_clear()
-    section_spaces._generators.cache_clear()
-    cfg = PointConfig.random(2, 6, 12)
+    cfg, twin = PointConfig.random(2, 6, 12), PointConfig.random(2, 6, 12)
     ctx = cfg.lattice_context()
     for deg in (2, 3, 4):
         rep = generation_test(DivisorClass(ctx, (deg,), (1,) * 6), cfg)
         assert rep.generated and rep.h0 > 0
-    assert solved and len(set(solved)) == len(solved)
+    assert solved and all(c is cfg for _, c in solved)
+    assert len(set(solved)) == len(solved)
+    mine = len(solved)
+    for deg in (4, 3, 2):
+        assert generation_test(DivisorClass(ctx, (deg,), (1,) * 6), twin) == \
+            generation_test(DivisorClass(ctx, (deg,), (1,) * 6), cfg)
+    assert len(solved) == 2 * mine and all(c is twin for _, c in solved[mine:])
+    assert twin == cfg and twin._terms == cfg._terms and twin._gens == cfg._gens
 
 
 def _fill_blocks(cfg):
@@ -328,8 +342,6 @@ def test_each_block_is_built_once_per_configuration(monkeypatch):
         return rows(n, d, rep, chart, order)
 
     monkeypatch.setattr(section_spaces, "_rows", counted)
-    section_spaces._generators.cache_clear()
-    section_spaces._section_terms.cache_clear()
     cfg = PointConfig.random(2, 6, 31)
     ctx = cfg.lattice_context()
     for _ in range(2):
@@ -360,11 +372,9 @@ def test_block_memo_is_invisible_to_equality_hash_repr_and_json():
 def test_dropped_configuration_is_collected():
     cfg = PointConfig.random(2, 6, 47)
     assert generation_test(DivisorClass(cfg.lattice_context(), (3,), (1,) * 6), cfg).generated
-    assert cfg._blocks and cfg._echelon is not None
+    assert cfg._blocks and cfg._echelon is not None and cfg._gens and cfg._terms and cfg._values
     ref = weakref.ref(cfg)
     del cfg
-    section_spaces._generators.cache_clear()
-    section_spaces._section_terms.cache_clear()
     gc.collect()
     assert ref() is None
 
@@ -426,8 +436,6 @@ def test_interleaved_classes_answer_as_on_a_fresh_configuration():
 
 def test_generation_test_after_h0_does_not_eliminate_again(monkeypatch):
     asked = _count_conditions(monkeypatch)
-    section_spaces._section_terms.cache_clear()
-    section_spaces._generators.cache_clear()
     cfg = PointConfig.random(2, 6, 23)
     ctx = cfg.lattice_context()
     for m in ((2, 1, 1, 1, 1, 1), (2, 2, 1, 1, 1, 0), (1, 1, 1, 1, 1, 1)):
@@ -593,6 +601,38 @@ def test_multiplicities_match_symbolic_expansion(case):
     n = len(p) - 1
     if n >= 2:
         assert mult_along_curve(f, PointConfig.default(n, n + 3)) == oracle_mult_along_curve(f, n)
+
+
+# one long-lived random configuration per n, with r = n + 3 points, so the
+# memos serve every class asked; the default configuration is the witness
+WEYL_CONFIGS = {n: (PointConfig.random(n, n + 3, 7), PointConfig.default(n, n + 3))
+                for n in (2, 3, 4)}
+
+
+@st.composite
+def classes_at_r_n_plus_3(draw):
+    n = draw(st.sampled_from(sorted(WEYL_CONFIGS)))
+    d = draw(st.integers(0, 3 if n < 4 else 2))
+    m = draw(st.lists(st.integers(-1, d), min_size=n + 3, max_size=n + 3))
+    return n, d, tuple(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(classes_at_r_n_plus_3())
+def test_h0_is_invariant_under_simple_reflections(case):
+    """h0(D) = h0(s_alpha D) for r = n + 3 points on the curve.  At r = n + 4
+    the symmetry fails: on P^2 with six points h0(2H - sum E_i) = 1, while
+    the Cremona reflection sends it to H - E_4 - E_5 - E_6, with h0 = 0."""
+    n, d, m = case
+    cfg, default = WEYL_CONFIGS[n]
+    ctx = cfg.lattice_context()
+    cls = DivisorClass(ctx, (d,), m)
+    dim = h0(cls, cfg)
+    assert h0(cls, default) == dim
+    for alpha in simple_roots(ctx).simple_roots:
+        image = reflect(alpha, cls)
+        if hdeg(image) <= d + 2:
+            assert h0(image, cfg) == dim, (cls, alpha)
 
 
 def test_form_and_point_errors_keep_their_field_and_detail():
