@@ -15,9 +15,11 @@ never builds that of f2 (17,280 curves on E8), which membership also needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from operator import mul
+import random
 
 from .budget import effective_cap
 from .errors import CapExceeded, PreconditionError
@@ -59,6 +61,28 @@ class BlowupContext:
 
     def lattice_context(self) -> LatticeContext:
         return LatticeContext(2, self.r - self.n - 1, self.n + 1)
+
+
+def curve_params(r: int, values) -> tuple:
+    """The values as r pairwise distinct Fractions, or PreconditionError."""
+    params = tuple(Fraction(v) for v in values)
+    if len(params) != r:
+        raise PreconditionError("params", f"expected {r} values, got {len(params)}")
+    if len(set(params)) != len(params):
+        raise PreconditionError("params", "parameters must be pairwise distinct")
+    return params
+
+
+def random_params(r: int, seed: int) -> tuple:
+    """r distinct p/q, |p| <= 60 and 1 <= q <= 12, drawn from Random(seed)
+    and sorted; r above the 899 such values raises before any draw."""
+    if r > 899:
+        raise PreconditionError("r", f"need r <= 899 for a random draw, got {r}")
+    rng = random.Random(seed)
+    chosen = set()
+    while len(chosen) < r:
+        chosen.add(Fraction(rng.randint(-60, 60), rng.randint(1, 12)))
+    return tuple(sorted(chosen))
 
 
 def _check_class(d: DivisorClass, bc: BlowupContext):
@@ -245,13 +269,6 @@ def eff_membership(d: DivisorClass, cap: int | None = None) -> MembershipResult:
     return MembershipResult(True, None)
 
 
-@lru_cache(maxsize=64)
-def _degree_one_candidates(ctx: LatticeContext, cap: int):
-    # flat coordinate tuples in (-H-degree, coordinates) order
-    nh = ctx.a - 1
-    return tuple(sorted(_degree_one_coords(ctx, cap), key=lambda x: (-sum(x[:nh]), x)))
-
-
 def decompose_degree1(d: DivisorClass, cap: int | None = None):
     """Write d as a multiset sum of degree-1 classes, or None.
 
@@ -274,7 +291,8 @@ def decompose_degree1(d: DivisorClass, cap: int | None = None):
         raise PreconditionError("D", f"degree must be a nonnegative integer, got {deg}")
     slots = int(deg)
     nh = d.ctx.a - 1
-    candidates = _degree_one_candidates(d.ctx, effective_cap())
+    candidates = sorted(_degree_one_coords(d.ctx, effective_cap()),
+                        key=lambda x: (-sum(x[:nh]), x))
     if not candidates:
         return () if d.is_zero() else None
     walls = _nef_orbit(d.ctx, "f1", effective_cap())

@@ -350,30 +350,33 @@ def build_parser() -> _Parser:
     common.add_argument("--cap", type=int, default=None)
     sub = parser.add_subparsers(dest="verb")
 
-    def verb(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
+    def verb(name, run):
+        p = sub.add_parser(name, parents=[common])
+        p.set_defaults(run=run)
+        return p
 
-    for name in ("classify", "roots", "degree-one", "minuscule"):
-        p = verb(name)
+    for name, run in (("classify", _cmd_classify), ("roots", _cmd_roots),
+                      ("degree-one", _cmd_degree_one), ("minuscule", _cmd_minuscule)):
+        p = verb(name, run)
         p.add_argument("--ctx", type=_triple, required=True)
 
-    p = verb("orbit")
+    p = verb("orbit", _cmd_orbit)
     p.add_argument("--ctx", type=_triple, required=True)
     p.add_argument("--h", type=_int_list, default=None)
     p.add_argument("--m", type=_int_list, default=None)
 
-    p = verb("minimal")
+    p = verb("minimal", _cmd_minimal)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
 
-    p = verb("project")
+    p = verb("project", _cmd_project)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--m", type=_int_list, required=True)
     p.add_argument("--classify", action="store_true")
 
-    p = verb("decompose")
+    p = verb("decompose", _cmd_decompose)
     p.add_argument("--ctx", type=_triple, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--d", type=int, default=None)
@@ -381,21 +384,22 @@ def build_parser() -> _Parser:
     p.add_argument("--m", type=_int_list, required=True)
     p.add_argument("--degree-one", dest="degree_one", action="store_true")
 
-    p = verb("member")
+    p = verb("member", _cmd_member)
     p.add_argument("--ctx", type=_triple, required=True)
     p.add_argument("--h", type=_int_list, default=None)
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--m", type=_int_list, required=True)
 
-    for name in ("h0", "section", "mult", "check-generation"):
-        p = verb(name)
+    for name, run in (("h0", _cmd_h0), ("section", _cmd_section), ("mult", _cmd_mult),
+                      ("check-generation", _cmd_check_generation)):
+        p = verb(name, run)
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--r", type=int, required=True)
         p.add_argument("--d", type=int, required=True)
         p.add_argument("--m", type=_int_list, required=True)
         p.add_argument("--params", type=_fraction_list, default=None)
 
-    p = verb("invariant")
+    p = verb("invariant", _cmd_invariant)
     p.add_argument("action", choices=("build", "check", "class"))
     p.add_argument("-I", "--indices", type=_int_list, default=None)
     p.add_argument("--n", type=int, default=None)
@@ -403,29 +407,10 @@ def build_parser() -> _Parser:
     p.add_argument("--params", type=_fraction_list, default=None)
     p.add_argument("--all", action="store_true")
 
-    p = verb("verify")
+    p = verb("verify", _cmd_verify)
     p.add_argument("--profile", choices=("quick", "full"), default="quick")
     p.add_argument("--seed", type=int, default=0)
     return parser
-
-
-_HANDLERS = {
-    "classify": _cmd_classify,
-    "roots": _cmd_roots,
-    "orbit": _cmd_orbit,
-    "degree-one": _cmd_degree_one,
-    "minuscule": _cmd_minuscule,
-    "minimal": _cmd_minimal,
-    "project": _cmd_project,
-    "decompose": _cmd_decompose,
-    "member": _cmd_member,
-    "h0": _cmd_h0,
-    "section": _cmd_section,
-    "mult": _cmd_mult,
-    "check-generation": _cmd_check_generation,
-    "invariant": _cmd_invariant,
-    "verify": _cmd_verify,
-}
 
 
 def _error_payload(exc) -> dict:
@@ -448,15 +433,11 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 64
     try:
-        return _HANDLERS[args.verb](args)
-    except CapExceeded as exc:
-        print(json.dumps(_error_payload(exc), sort_keys=True,
-                         separators=(",", ":")), file=sys.stderr)
-        return 2
+        return args.run(args)
     except CoxforgeError as exc:
         print(json.dumps(_error_payload(exc), sort_keys=True,
                          separators=(",", ":")), file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, CapExceeded) else 1
 
 
 def entry():

@@ -4,12 +4,12 @@ Terms are kept in a dict mapping exponent tuples to Fraction coefficients.
 Every polynomial is normalized: zero coefficients are dropped and the
 variable tuple is pruned to the variables that actually occur, in the
 canonical order below, so structurally equal polynomials compare equal no
-matter how they were assembled.  The public constructor validates and
-normalizes its input (coefficients coerced to Fraction, exponent tuples
-checked, variables sorted).  Internal operations build their results over
-operands that are already normalized, so they keep the same invariants
-through `MultiPoly._trusted`, which only drops zeros and unused variables,
-and sums of many polynomials go through one dict (`MultiPoly.sum`).
+matter how they were assembled.  One normalizer, `MultiPoly._normalize`,
+does that.  The public constructor first validates (distinct variable
+names, rational coefficients, every exponent tuple, zero terms included)
+and sorts the variables; internal operations, whose operands are already
+normalized, go straight to it through `MultiPoly._trusted`, and sums of
+many polynomials go through one dict (`MultiPoly.sum`).
 
 Canonical variable order: homogeneous coordinates z_0 > z_1 > .., then
 chart coordinates u_1 > .., the curve parameter s, then x_1 > .., y_1 > ..,
@@ -46,11 +46,6 @@ def _coerce_coef(v) -> Fraction:
     raise PreconditionError("coef", f"coefficients must be rational, got {v!r}")
 
 
-def _check_exponents(exps: tuple):
-    if any(e < 0 or not isinstance(e, int) for e in exps):
-        raise PreconditionError("terms", f"exponents must be nonnegative integers: {exps}")
-
-
 def _union(polys) -> tuple:
     """The variables of all `polys`, in canonical order."""
     return tuple(sorted(set().union(*(p.vars for p in polys)), key=var_key))
@@ -77,41 +72,38 @@ class MultiPoly:
 
     def __init__(self, variables=(), terms=None):
         variables = tuple(variables)
+        if len(set(variables)) != len(variables):
+            raise PreconditionError("vars", f"variable names must be distinct: {variables}")
+        order = sorted(range(len(variables)), key=lambda i: var_key(variables[i]))
         raw = {}
         for exps, coef in (terms or {}).items():
             coef = _coerce_coef(coef)
-            if not coef:
-                continue
             exps = tuple(exps)
             if len(exps) != len(variables):
                 raise PreconditionError("terms", "exponent tuple length != variable count")
-            _check_exponents(exps)
-            raw[exps] = raw.get(exps, Fraction(0)) + coef
-        raw = {e: c for e, c in raw.items() if c}
-        used = sorted({i for e in raw for i, p in enumerate(e) if p},
-                      key=lambda i: var_key(variables[i]))
-        pruned_vars = tuple(variables[i] for i in used)
-        pruned = {}
-        for exps, coef in raw.items():
-            key = tuple(exps[i] for i in used)
-            pruned[key] = pruned.get(key, Fraction(0)) + coef
-        object.__setattr__(self, "vars", pruned_vars)
-        object.__setattr__(self, "terms", {e: c for e, c in pruned.items() if c})
+            if any(e < 0 or not isinstance(e, int) for e in exps):
+                raise PreconditionError("terms", f"exponents must be nonnegative integers: {exps}")
+            key = tuple(exps[i] for i in order)
+            raw[key] = raw[key] + coef if key in raw else coef
+        self._normalize(tuple(variables[i] for i in order), raw)
 
     @classmethod
     def _trusted(cls, variables: tuple, terms: dict) -> "MultiPoly":
-        """Normalize `terms`, which must already be keyed over `variables` in
-        canonical order and hold Fraction coefficients: zero coefficients and
-        unused variables are dropped, nothing is re-validated or re-sorted."""
+        """`terms` keyed over `variables` in canonical order with Fraction
+        coefficients, normalized with no re-validation or re-sorting."""
+        poly = object.__new__(cls)
+        poly._normalize(variables, terms)
+        return poly
+
+    def _normalize(self, variables: tuple, terms: dict):
+        """The one normalizer: drop zero coefficients and unused variables."""
         terms = {e: c for e, c in terms.items() if c}
         used = [i for i, column in enumerate(zip(*terms)) if any(column)]
         if len(used) < len(variables):
             variables = tuple(variables[i] for i in used)
             terms = {tuple(e[i] for i in used): c for e, c in terms.items()}
-        poly = object.__new__(cls)
-        object.__setattr__(poly, "vars", variables)
-        object.__setattr__(poly, "terms", terms)
-        return poly
+        object.__setattr__(self, "vars", variables)
+        object.__setattr__(self, "terms", terms)
 
     def __setattr__(self, *_):
         raise AttributeError("MultiPoly is immutable")

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm, prod
-import random
 
+from .blowup_divisors import curve_params, random_params
 from .budget import effective_cap
 from .errors import CapExceeded, PreconditionError
 from .jsonutil import encode_fraction
@@ -36,7 +36,8 @@ from .picard_lattice import DivisorClass, LatticeContext
 
 @dataclass(frozen=True)
 class NagataParams:
-    """r distinct rationals spanning the translation plane, r >= 5."""
+    """r distinct rationals spanning the translation plane, r >= 5: the
+    parameters of `PointConfig` read as weights, under the same rule."""
 
     r: int
     params: tuple
@@ -44,12 +45,7 @@ class NagataParams:
     def __post_init__(self):
         if not isinstance(self.r, int) or isinstance(self.r, bool) or self.r < 5:
             raise PreconditionError("r", f"need an integer r >= 5, got {self.r!r}")
-        params = tuple(Fraction(v) for v in self.params)
-        if len(params) != self.r:
-            raise PreconditionError("params", f"expected {self.r} values, got {len(params)}")
-        if len(set(params)) != len(params):
-            raise PreconditionError("params", "parameters must be pairwise distinct")
-        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "params", curve_params(self.r, self.params))
 
     @classmethod
     def default(cls, r: int) -> "NagataParams":
@@ -57,11 +53,7 @@ class NagataParams:
 
     @classmethod
     def random(cls, r: int, seed: int) -> "NagataParams":
-        rng = random.Random(seed)
-        chosen = set()
-        while len(chosen) < r:
-            chosen.add(Fraction(rng.randint(-60, 60), rng.randint(1, 12)))
-        return cls(r, tuple(sorted(chosen)))
+        return cls(r, random_params(r, seed))
 
     def to_json(self) -> dict:
         return {"r": self.r, "params": [encode_fraction(a) for a in self.params]}

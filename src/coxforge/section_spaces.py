@@ -33,9 +33,8 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import inf, lcm, perm, prod
 from operator import add, mul
-import random
 
-from .blowup_divisors import BlowupContext, enumerate_minimal
+from .blowup_divisors import BlowupContext, curve_params, enumerate_minimal, random_params
 from .budget import effective_cap
 from .errors import CapExceeded, PreconditionError
 from .jsonutil import encode_fraction
@@ -49,7 +48,8 @@ GENERATION_NODE_CAP = 10 ** 5
 
 @dataclass(frozen=True)
 class PointConfig:
-    """r distinct parameters a_i marking points on the rational normal curve.
+    """r distinct parameters a_i marking points on the rational normal curve,
+    under the rule `NagataParams` shares (`curve_params`, `random_params`).
 
     A configuration also keeps its points' integer representatives and the
     section layer's memos: the condition blocks `_condition_rows` has built,
@@ -76,12 +76,7 @@ class PointConfig:
 
     def __post_init__(self):
         BlowupContext(self.n, self.r)  # validates n and r
-        params = tuple(Fraction(v) for v in self.params)
-        if len(params) != self.r:
-            raise PreconditionError("params", f"expected {self.r} values, got {len(params)}")
-        if len(set(params)) != len(params):
-            raise PreconditionError("params", "parameters must be pairwise distinct")
-        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "params", curve_params(self.r, self.params))
         object.__setattr__(self, "_reps", tuple(map(_representative, self.points())))
         object.__setattr__(self, "_blocks", {})
         object.__setattr__(self, "_echelon", None)
@@ -95,11 +90,7 @@ class PointConfig:
 
     @classmethod
     def random(cls, n: int, r: int, seed: int) -> "PointConfig":
-        rng = random.Random(seed)
-        chosen = set()
-        while len(chosen) < r:
-            chosen.add(Fraction(rng.randint(-60, 60), rng.randint(1, 12)))
-        return cls(n, r, tuple(sorted(chosen)))
+        return cls(n, r, random_params(r, seed))
 
     def blowup_context(self) -> BlowupContext:
         return BlowupContext(self.n, self.r)
@@ -159,12 +150,6 @@ def _rows(n: int, d: int, rep: tuple, chart: int, order: int) -> tuple:
             row.append(v)
         rows.append(tuple(row))
     return tuple(rows)
-
-
-def _point_rows(n: int, d: int, point, order: int) -> tuple:
-    """`_rows` at (P, c) from `_representative`.  The partials are homogeneous,
-    so whether they vanish at the point does not depend on the representative."""
-    return _rows(n, d, *_representative(point), order)
 
 
 def _condition_rows(d: int, mults, cfg: PointConfig) -> list:
@@ -276,10 +261,16 @@ def section_of(d: DivisorClass, cfg: PointConfig) -> MultiPoly:
     return form_from_vector(cfg.n, hdeg(d), section_vector(d, cfg))
 
 
-def _partials(rows, vec) -> list:
-    """The form `vec` under the rows of one (point, order): its partials
-    there, up to scale."""
-    return [sum(a * c for a, c in zip(row, vec) if c) for row in rows]
+def _order(n: int, deg: int, vec, reps) -> int:
+    """The least order of a partial of the degree-deg form `vec` that is
+    nonzero at an integer point (P, c) of `reps`, asking at order o only the
+    first (deg - o) n + 1 of them (a single point is its own prefix).  The
+    partials are homogeneous, so the representative does not matter."""
+    for order in range(deg + 1):
+        if any(sum(a * c for a, c in zip(row, vec) if c)
+               for rep, chart in reps[:(deg - order) * n + 1]
+               for row in _rows(n, deg, rep, chart, order)):
+            return order
 
 
 def mult_at_point(f: MultiPoly, p):
@@ -291,10 +282,7 @@ def mult_at_point(f: MultiPoly, p):
         return inf
     n = len(p) - 1
     deg, vec = _form_vector(f, n)
-    rep, chart = _representative(p)
-    for order in range(deg + 1):
-        if any(_partials(_rows(n, deg, rep, chart, order), vec)):
-            return order
+    return _order(n, deg, vec, [_representative(p)])
 
 
 def mult_along_curve(f: MultiPoly, cfg: PointConfig) -> int:
@@ -303,18 +291,16 @@ def mult_along_curve(f: MultiPoly, cfg: PointConfig) -> int:
 
     An order-o partial of a degree-d form restricts to the curve as a
     polynomial in s of degree <= (d - o) n, so it vanishes identically once
-    it vanishes at s = 0..(d - o) n, at most dn + 1 parameters.  There
+    it vanishes at s = 0..(d - o) n, at most dn + 1 parameters: `_order`
+    asks that prefix of the curve points, which shrinks as o grows.  There
     z_0 = 1, and Euler's relation z_0 d_0 g = deg(g) g - sum_{t>0} z_t d_t g
-    makes the chart partials of `_point_rows` vanish to a given order exactly
+    makes the chart partials of `_rows` vanish to a given order exactly
     when all homogeneous partials do.  Exact arithmetic needs no fallback.
     """
     n = cfg.n
     deg, vec = _form_vector(f, n)
-    curve = [tuple(s ** j for j in range(n + 1)) for s in range(deg * n + 1)]
-    for order in range(deg + 1):
-        if any(any(_partials(_point_rows(n, deg, q, order), vec))
-               for q in curve[:(deg - order) * n + 1]):
-            return order
+    return _order(n, deg, vec, [(tuple(s ** j for j in range(n + 1)), 0)
+                                for s in range(deg * n + 1)])
 
 
 @dataclass(frozen=True)

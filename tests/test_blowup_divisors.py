@@ -294,23 +294,23 @@ def test_decompose_degree1_agrees_with_brute_force_multisets():
 
 
 def test_decompose_degree1_lists_degree_one_classes_once_per_context(monkeypatch):
-    calls = []
+    built = []
 
-    def counted(ctx, cap):
-        calls.append((ctx, cap))
-        return root_system._degree_one_coords(ctx, cap)
+    def counted(lam, rs, cap=None):
+        built.append(cap)
+        return weights_of_irrep(lam, rs, cap)
 
-    monkeypatch.setattr(blowup_divisors, "_degree_one_coords", counted)
-    blowup_divisors._degree_one_candidates.cache_clear()
+    monkeypatch.setattr(root_system, "weights_of_irrep", counted)
+    root_system._degree_one_coords.cache_clear()
     ctx = LatticeContext(2, 2, 3)
     target = 2 * anticanonical(ctx)
     first = decompose_degree1(target)
     assert decompose_degree1(target) == first
     assert decompose_degree1(anticanonical(ctx)) is not None
-    assert len(calls) == 1
+    assert built == [10 ** 6]
     monkeypatch.setenv("COXFORGE_CAP", "5000")
     assert decompose_degree1(target) == first
-    assert calls == [(ctx, 10 ** 6), (ctx, 5000)]
+    assert built == [10 ** 6, 5000]
 
 
 def test_listing_then_decomposing_builds_the_e8_weights_once(monkeypatch):
@@ -322,7 +322,6 @@ def test_listing_then_decomposing_builds_the_e8_weights_once(monkeypatch):
 
     monkeypatch.setattr(root_system, "weights_of_irrep", counted)
     root_system._degree_one_coords.cache_clear()
-    blowup_divisors._degree_one_candidates.cache_clear()
     ctx = LatticeContext(2, 3, 5)
     classes = degree_one_divisors(ctx)
     assert len(classes) == 2401

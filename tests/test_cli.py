@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -249,6 +250,19 @@ def test_invariant_check_all_bounds_its_terms(capsys, monkeypatch):
     assert code == 2 and json.loads(err)["error"]["cap"] == 9
     code, out, _ = run(capsys, "invariant", "build", "-I", "1,2,3,4,5", "--r", "5", "--cap", "10")
     assert code == 0 and len(json.loads(out)) == 10
+
+
+def test_readme_examples_match_their_golden_output(capsys):
+    # tests/cli_golden.json holds the exit code and exact stdout of every
+    # `coxforge ...` line of README's command-line block, keyed by its argv
+    golden = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    examples = [shlex.split(line, comments=True)[1:] for line in readme.splitlines()
+                if line.startswith("coxforge ")]
+    assert [" ".join(argv) for argv in examples] == list(golden)
+    for argv in examples:
+        code, out, _ = run(capsys, *argv)
+        assert [code, out] == golden[" ".join(argv)], argv
 
 
 def test_module_entry_point():

@@ -8,6 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coxforge.errors import PreconditionError
 from coxforge.multipoly import MultiPoly, var_key
 
 X0, X1, Y1 = (MultiPoly.variable(v) for v in ("x_0", "x_1", "y_1"))
@@ -54,6 +55,21 @@ def test_zero_terms_are_dropped_and_vars_pruned():
     p = MultiPoly(("x_0", "x_1"), {(1, 0): Fraction(1), (0, 2): Fraction(0)})
     assert p.vars == ("x_0",)
     assert p == X0
+
+
+def test_repeated_variable_names_are_refused():
+    # one variable keyed twice makes sums and equality go wrong: x_1 * x_1
+    # over ("x_1", "x_1") plus x_1^2 would print as x_1^2 + x_1
+    with pytest.raises(PreconditionError) as err:
+        MultiPoly(("x_1", "x_1"), {(1, 1): 1})
+    assert err.value.field == "vars"
+
+
+def test_exponents_are_checked_on_zero_terms_too():
+    for terms in ({(1, 2): 0}, {(-1,): 0}, {(1,): 1, (Fraction(1, 2),): 0}):
+        with pytest.raises(PreconditionError) as err:
+            MultiPoly(("x_1",), terms)
+        assert err.value.field == "terms"
 
 
 def test_constructor_coerces_int_coefficients():

@@ -99,6 +99,9 @@ def test_params_validation():
         NagataParams(5, (1, 1, 2, 3, 4))
     assert NagataParams.random(5, 9) == NagataParams.random(5, 9)
     assert len(set(NagataParams.random(5, 9).params)) == 5
+    with pytest.raises(PreconditionError) as err:
+        NagataParams.random(900, 9)
+    assert err.value.field == "r"
 
 
 def test_build_F_guards():

@@ -1,9 +1,12 @@
-"""The package's public names: a frozen list, every name resolving, and no
-class that reads JSON back (the package writes JSON and never parses it)."""
+"""The package's public names: a frozen list, every name resolving, no
+class that reads JSON back (the package writes JSON and never parses it),
+and no private helper that only tests reach."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import coxforge
 
@@ -38,3 +41,29 @@ def test_no_class_defines_a_json_reader():
         for _, cls in inspect.getmembers(module, inspect.isclass):
             if cls.__module__ == module.__name__:
                 assert "from_json" not in vars(cls), cls.__qualname__
+
+
+def _uncalled_private_helpers(src: Path) -> list:
+    """Private top-level functions and methods of top-level classes under
+    `src` that no code under `src` names outside their own body."""
+    defs, refs = [], []
+    for path in sorted(src.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            members = node.body if isinstance(node, ast.ClassDef) else [node]
+            defs += [(path.name, f) for f in members
+                     if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     and f.name.startswith("_") and not f.name.endswith("__")]
+        refs += [n for n in ast.walk(tree) if isinstance(n, (ast.Name, ast.Attribute))]
+    uncalled = []
+    for module, fn in defs:
+        inside = {id(n) for n in ast.walk(fn)}
+        if not any(getattr(n, "id", getattr(n, "attr", None)) == fn.name and id(n) not in inside
+                   for n in refs):
+            uncalled.append(f"{module}:{fn.name}")
+    return uncalled
+
+
+def test_every_private_helper_has_a_caller_in_the_package():
+    src = Path(coxforge.__file__).parent
+    assert _uncalled_private_helpers(src) == []

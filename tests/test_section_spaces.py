@@ -103,6 +103,14 @@ def test_point_config_random_is_deterministic():
     assert PointConfig.random(3, 7, 20) != one
 
 
+def test_random_draw_refuses_more_points_than_it_can_draw():
+    # only 899 distinct p/q have |p| <= 60 and 1 <= q <= 12
+    assert len(set(PointConfig.random(2, 899, 1).params)) == 899
+    with pytest.raises(PreconditionError) as err:
+        PointConfig.random(2, 900, 1)
+    assert err.value.field == "r"
+
+
 def test_monomial_exponents_basis():
     for n, d in ((2, 0), (2, 3), (3, 4), (4, 2)):
         monos = monomial_exponents(n, d)
@@ -329,7 +337,8 @@ def test_block_memo_matches_point_rows():
         assert {order for _, _, order in cfg._blocks} == {0, 1, 2}
         points = cfg.points()
         for (d, i, order), block in cfg._blocks.items():
-            assert block == section_spaces._point_rows(cfg.n, d, points[i], order)
+            rep, chart = section_spaces._representative(points[i])
+            assert block == section_spaces._rows(cfg.n, d, rep, chart, order)
             assert isinstance(block, tuple) and all(isinstance(row, tuple) for row in block)
 
 
