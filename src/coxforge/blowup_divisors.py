@@ -23,6 +23,7 @@ import random
 
 from .budget import effective_cap
 from .errors import CapExceeded, PreconditionError
+from .multipoly import _coerce_coef
 from .picard_lattice import (
     CurveClass,
     DivisorClass,
@@ -64,8 +65,9 @@ class BlowupContext:
 
 
 def curve_params(r: int, values) -> tuple:
-    """The values as r pairwise distinct Fractions, or PreconditionError."""
-    params = tuple(Fraction(v) for v in values)
+    """The values as r pairwise distinct Fractions, or PreconditionError;
+    each must be an int or a Fraction, as MultiPoly coefficients must."""
+    params = tuple(_coerce_coef(v, "params") for v in values)
     if len(params) != r:
         raise PreconditionError("params", f"expected {r} values, got {len(params)}")
     if len(set(params)) != len(params):

@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 
 from .blowup_divisors import (
@@ -28,10 +27,10 @@ from .budget import effective_cap
 from .errors import CapExceeded, CoxforgeError, PreconditionError
 from .nagata_invariants import (
     NagataParams,
-    _odd_index_set,
     build_F,
     divisor_class_of,
     is_invariant,
+    odd_index_sets,
 )
 from .picard_lattice import DivisorClass, LatticeContext, format_curve, format_divisor
 from .root_system import (
@@ -87,15 +86,21 @@ def _triple(text: str):
     return values
 
 
-def _emit(args, payload, table: str):
+def _emit(args, payload, table: str) -> int:
     if args.format == "table":
         print(table)
     else:
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+    return 0
 
 
 def _class_lines(classes) -> str:
     return "\n".join(format_divisor(d) for d in classes)
+
+
+def _listing(args, key: str, classes) -> int:
+    payload = {"count": len(classes), key: [d.to_json() for d in classes]}
+    return _emit(args, payload, f"{_class_lines(classes)}\ncount: {len(classes)}")
 
 
 def _ctx_of(args) -> LatticeContext:
@@ -130,16 +135,14 @@ def _cmd_classify(args) -> int:
     label = dynkin_label(a, b, c)
     payload = {"a": a, "b": b, "c": c, "finite": is_finite_type(a, b, c),
                "label": label}
-    _emit(args, payload, label)
-    return 0
+    return _emit(args, payload, label)
 
 
 def _cmd_roots(args) -> int:
     rs = simple_roots(_ctx_of(args))
     payload = {"label": rs.dynkin_label,
                "roots": [alpha.to_json() for alpha in rs.simple_roots]}
-    _emit(args, payload, _class_lines(rs.simple_roots))
-    return 0
+    return _emit(args, payload, _class_lines(rs.simple_roots))
 
 
 def _cmd_orbit(args) -> int:
@@ -148,17 +151,11 @@ def _cmd_orbit(args) -> int:
         start = DivisorClass.exceptional(ctx, ctx.r)
     else:
         start = _divisor(args, ctx)
-    orbit = weyl_orbit(start, simple_roots(ctx), cap=args.cap)
-    payload = {"count": len(orbit), "orbit": [d.to_json() for d in orbit]}
-    _emit(args, payload, f"{_class_lines(orbit)}\ncount: {len(orbit)}")
-    return 0
+    return _listing(args, "orbit", weyl_orbit(start, simple_roots(ctx), cap=args.cap))
 
 
 def _cmd_degree_one(args) -> int:
-    classes = degree_one_divisors(_ctx_of(args), cap=args.cap)
-    payload = {"count": len(classes), "classes": [d.to_json() for d in classes]}
-    _emit(args, payload, f"{_class_lines(classes)}\ncount: {len(classes)}")
-    return 0
+    return _listing(args, "classes", degree_one_divisors(_ctx_of(args), cap=args.cap))
 
 
 def _cmd_minuscule(args) -> int:
@@ -168,17 +165,13 @@ def _cmd_minuscule(args) -> int:
     weights = len(weights_of_irrep(lam, rs, cap=args.cap))
     orbit = len(weyl_orbit_weights(lam, rs, cap=args.cap))
     payload = {"minuscule": weights == orbit, "orbit": orbit, "weights": weights}
-    _emit(args, payload,
-          f"minuscule: {str(weights == orbit).lower()} "
-          f"({weights} weights, {orbit} in the orbit)")
-    return 0
+    return _emit(args, payload,
+                 f"minuscule: {str(weights == orbit).lower()} "
+                 f"({weights} weights, {orbit} in the orbit)")
 
 
 def _cmd_minimal(args) -> int:
-    classes = enumerate_minimal(BlowupContext(args.n, args.r))
-    payload = {"count": len(classes), "classes": [d.to_json() for d in classes]}
-    _emit(args, payload, f"{_class_lines(classes)}\ncount: {len(classes)}")
-    return 0
+    return _listing(args, "classes", enumerate_minimal(BlowupContext(args.n, args.r)))
 
 
 def _cmd_project(args) -> int:
@@ -192,8 +185,7 @@ def _cmd_project(args) -> int:
         payload["case"] = res.case
         payload["e_q_coefficient"] = res.e_q_coefficient
         table += f"\ncase: {res.case} (e_q coefficient {res.e_q_coefficient})"
-    _emit(args, payload, table)
-    return 0
+    return _emit(args, payload, table)
 
 
 def _cmd_decompose(args) -> int:
@@ -218,11 +210,8 @@ def _cmd_decompose(args) -> int:
     else:
         parts = effective_decompose(d)
     if parts is None:
-        _emit(args, {"parts": None}, "no decomposition")
-    else:
-        payload = {"parts": [p.to_json() for p in parts]}
-        _emit(args, payload, _class_lines(parts))
-    return 0
+        return _emit(args, {"parts": None}, "no decomposition")
+    return _emit(args, {"parts": [p.to_json() for p in parts]}, _class_lines(parts))
 
 
 def _cmd_member(args) -> int:
@@ -234,22 +223,19 @@ def _cmd_member(args) -> int:
         table = "member"
     else:
         table = f"not a member; violated by the curve {format_curve(res.certificate)}"
-    _emit(args, payload, table)
-    return 0
+    return _emit(args, payload, table)
 
 
 def _cmd_h0(args) -> int:
     d, _ = _blowup_divisor(args)
     value = h0(d, _config(args))
-    _emit(args, {"h0": value}, f"h0 = {value}")
-    return 0
+    return _emit(args, {"h0": value}, f"h0 = {value}")
 
 
 def _cmd_section(args) -> int:
     d, _ = _blowup_divisor(args)
     f = section_of(d, _config(args))
-    _emit(args, f.to_json(), str(f))
-    return 0
+    return _emit(args, f.to_json(), str(f))
 
 
 def _cmd_mult(args) -> int:
@@ -259,22 +245,20 @@ def _cmd_mult(args) -> int:
     at_points = [mult_at_point(f, p) for p in cfg.points()]
     along = mult_along_curve(f, cfg)
     payload = {"along_curve": along, "at_points": at_points}
-    _emit(args, payload,
-          f"at points: {' '.join(str(v) for v in at_points)}\nalong curve: {along}")
-    return 0
+    return _emit(args, payload,
+                 f"at points: {' '.join(str(v) for v in at_points)}\nalong curve: {along}")
 
 
 def _cmd_check_generation(args) -> int:
     d, _ = _blowup_divisor(args)
     rep = generation_test(d, _config(args), cap=args.cap)
     payload = {"generated": rep.generated, "h0": rep.h0, "span_dim": rep.span_dim}
-    _emit(args, payload,
-          f"h0 = {rep.h0}, span = {rep.span_dim}, generated: "
-          f"{str(rep.generated).lower()}")
-    return 0
+    return _emit(args, payload,
+                 f"h0 = {rep.h0}, span = {rep.span_dim}, generated: "
+                 f"{str(rep.generated).lower()}")
 
 
-def _nagata_params(args, smallest: int = 5) -> NagataParams:
+def _nagata_params(args) -> NagataParams:
     if args.r is not None:
         r = args.r
     elif args.n is not None:
@@ -282,7 +266,7 @@ def _nagata_params(args, smallest: int = 5) -> NagataParams:
             raise PreconditionError("n", f"need an integer n >= 2, got {args.n}")
         r = args.n + 3
     elif args.indices:
-        r = max(smallest, max(args.indices))
+        r = max(5, max(args.indices))
     else:
         raise PreconditionError("r", "give r, n, or an index set")
     if args.params is not None:
@@ -292,41 +276,29 @@ def _nagata_params(args, smallest: int = 5) -> NagataParams:
 
 def _cmd_invariant(args) -> int:
     np = _nagata_params(args)
-    every = args.action == "check" and (args.all or not args.indices)
-    if every:
-        counts = {s: comb(np.r, s) for s in range(1, np.r + 1, 2)}
-    elif args.indices:
-        counts = {len(_odd_index_set(args.indices, np)): 1}
-    else:
+    if args.action == "check" and (args.all or not args.indices):
+        cap = effective_cap(args.cap)
+        # F_I has C(|I|, (|I| + 1) / 2) terms; bound their total over every
+        # odd I before building any
+        if sum(comb(np.r, s) * comb(s, (s + 1) // 2) for s in range(1, np.r + 1, 2)) > cap:
+            raise CapExceeded("determinant terms", cap)
+        good = all(is_invariant(build_F(idx, np, cap), np) for idx in odd_index_sets(np.r))
+        checked = 2 ** (np.r - 1)
+        return _emit(args, {"checked": checked, "invariant": good},
+                     f"{checked} invariants verified" if good
+                     else f"FAILURE among the {checked} determinants")
+    if not args.indices:
         raise PreconditionError("I", "an index set is required")
-    cap = effective_cap(args.cap)
-    # F_I has C(|I|, (|I| + 1) / 2) terms; bound their total before building any
-    if sum(c * comb(s, (s + 1) // 2) for s, c in counts.items()) > cap:
-        raise CapExceeded("determinant terms", cap)
+    # build_F checks the index set, then its own term count against --cap
+    f = build_F(args.indices, np, args.cap)
     if args.action == "build":
-        f = build_F(args.indices, np, cap)
-        _emit(args, f.to_json(), str(f))
-        return 0
+        return _emit(args, f.to_json(), str(f))
     if args.action == "class":
-        n = args.n if args.n is not None else np.r - 3
-        d = divisor_class_of(build_F(args.indices, np, cap), n)
-        _emit(args, d.to_json(), format_divisor(d))
-        return 0
-    if not every:
-        verdict = is_invariant(build_F(args.indices, np, cap), np)
-        _emit(args, {"checked": 1, "invariant": verdict},
-              "invariant" if verdict else "NOT invariant")
-        return 0
-    checked = 0
-    good = True
-    for size in counts:
-        for idx in combinations(range(1, np.r + 1), size):
-            good = good and is_invariant(build_F(idx, np, cap), np)
-            checked += 1
-    _emit(args, {"checked": checked, "invariant": good},
-          f"{checked} invariants verified" if good
-          else f"FAILURE among the {checked} determinants")
-    return 0
+        d = divisor_class_of(f, args.n if args.n is not None else np.r - 3)
+        return _emit(args, d.to_json(), format_divisor(d))
+    verdict = is_invariant(f, np)
+    return _emit(args, {"checked": 1, "invariant": verdict},
+                 "invariant" if verdict else "NOT invariant")
 
 
 def _cmd_verify(args) -> int:
@@ -348,32 +320,32 @@ def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--format", choices=("json", "table"), default="json")
     common.add_argument("--cap", type=int, default=None)
+    ctx = _Parser(add_help=False)
+    ctx.add_argument("--ctx", type=_triple, required=True)
+    blowup = _Parser(add_help=False)
+    blowup.add_argument("--n", type=int, required=True)
+    blowup.add_argument("--r", type=int, required=True)
+    divisor = _Parser(add_help=False)
+    divisor.add_argument("--d", type=int, required=True)
+    divisor.add_argument("--m", type=_int_list, required=True)
     sub = parser.add_subparsers(dest="verb")
 
-    def verb(name, run):
-        p = sub.add_parser(name, parents=[common])
+    def verb(name, run, *shapes):
+        p = sub.add_parser(name, parents=[common, *shapes])
         p.set_defaults(run=run)
         return p
 
     for name, run in (("classify", _cmd_classify), ("roots", _cmd_roots),
                       ("degree-one", _cmd_degree_one), ("minuscule", _cmd_minuscule)):
-        p = verb(name, run)
-        p.add_argument("--ctx", type=_triple, required=True)
+        verb(name, run, ctx)
 
-    p = verb("orbit", _cmd_orbit)
-    p.add_argument("--ctx", type=_triple, required=True)
+    p = verb("orbit", _cmd_orbit, ctx)
     p.add_argument("--h", type=_int_list, default=None)
     p.add_argument("--m", type=_int_list, default=None)
 
-    p = verb("minimal", _cmd_minimal)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
+    verb("minimal", _cmd_minimal, blowup)
 
-    p = verb("project", _cmd_project)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--m", type=_int_list, required=True)
+    p = verb("project", _cmd_project, blowup, divisor)
     p.add_argument("--classify", action="store_true")
 
     p = verb("decompose", _cmd_decompose)
@@ -384,19 +356,14 @@ def build_parser() -> _Parser:
     p.add_argument("--m", type=_int_list, required=True)
     p.add_argument("--degree-one", dest="degree_one", action="store_true")
 
-    p = verb("member", _cmd_member)
-    p.add_argument("--ctx", type=_triple, required=True)
+    p = verb("member", _cmd_member, ctx)
     p.add_argument("--h", type=_int_list, default=None)
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--m", type=_int_list, required=True)
 
     for name, run in (("h0", _cmd_h0), ("section", _cmd_section), ("mult", _cmd_mult),
                       ("check-generation", _cmd_check_generation)):
-        p = verb(name, run)
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--r", type=int, required=True)
-        p.add_argument("--d", type=int, required=True)
-        p.add_argument("--m", type=_int_list, required=True)
+        p = verb(name, run, blowup, divisor)
         p.add_argument("--params", type=_fraction_list, default=None)
 
     p = verb("invariant", _cmd_invariant)

@@ -38,12 +38,14 @@ def var_key(name: str):
     return (fam, idx, name)
 
 
-def _coerce_coef(v) -> Fraction:
+def _coerce_coef(v, field: str = "coef") -> Fraction:
+    """The package's one rule for an exact rational input: an int (not a
+    bool) or a Fraction, else PreconditionError naming `field`."""
     if isinstance(v, Fraction):
         return v
     if isinstance(v, int) and not isinstance(v, bool):
         return Fraction(v)
-    raise PreconditionError("coef", f"coefficients must be rational, got {v!r}")
+    raise PreconditionError(field, f"values must be rational (int or Fraction), got {v!r}")
 
 
 def _union(polys) -> tuple:

@@ -69,6 +69,12 @@ def _odd_index_set(index_set, np: NagataParams) -> list:
     return idx
 
 
+def odd_index_sets(r: int):
+    """Every odd index set within 1..r, by size, then lexicographically."""
+    for size in range(1, r + 1, 2):
+        yield from combinations(range(1, r + 1), size)
+
+
 def build_F(index_set, np: NagataParams, cap: int | None = None) -> MultiPoly:
     """The determinant invariant of an odd index set.
 

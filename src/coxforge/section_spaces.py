@@ -39,7 +39,7 @@ from .budget import effective_cap
 from .errors import CapExceeded, PreconditionError
 from .jsonutil import encode_fraction
 from .linalg import RowEchelon, echelon
-from .multipoly import MultiPoly, _lift
+from .multipoly import MultiPoly, _coerce_coef, _lift
 from .picard_lattice import DivisorClass, LatticeContext, hdeg
 
 GENERATION_MONOMIAL_CAP = 20000
@@ -125,8 +125,9 @@ def monomial_exponents(n: int, d: int) -> tuple:
 
 
 def _representative(point) -> tuple:
-    """(P, c): the point scaled to integers, with P_c > 0 at its first nonzero c."""
-    p = [Fraction(v) for v in point]
+    """(P, c): the point scaled to integers, with P_c > 0 at its first nonzero c;
+    each coordinate must be an int or a Fraction."""
+    p = [_coerce_coef(v, "p") for v in point]
     chart = next((j for j, v in enumerate(p) if v), None)
     if chart is None:
         raise PreconditionError("p", "point must not be the zero vector")

@@ -2,9 +2,11 @@
 and invariance identities the toolkit must regenerate exactly.
 
 Every check is exact (integer or rational equality, no tolerances) and
-cheap enough for commodity hardware.  The quick profile keeps ambient
-dimension at most 3 and r at most 7; the full profile extends the same
-checks to dimension 5 where the underlying objects stay desk-sized.
+cheap enough for commodity hardware.  `_quick(n, r)` is the quick
+profile's one rule: P^n blown up at r points with n <= 3 and r <= 7, a
+context (a, b, c) read as n = c - 1, r = b + c.  The full profile runs
+every case, up to dimension 5 where objects stay desk-sized; only the
+generation grid keeps a table per profile, as quick lowers its degrees.
 Each criterion draws its samples from its own seeded generator, so a
 fixed (profile, seed) pair determines the entire run.
 """
@@ -26,7 +28,13 @@ from .blowup_divisors import (
     mult_lower_bound,
 )
 from .linalg import rank
-from .nagata_invariants import NagataParams, build_F, divisor_class_of, is_invariant
+from .nagata_invariants import (
+    NagataParams,
+    build_F,
+    divisor_class_of,
+    is_invariant,
+    odd_index_sets,
+)
 from .picard_lattice import DivisorClass, LatticeContext, anticanonical, degree
 from .root_system import is_minuscule, reflect, simple_roots, weyl_orbit
 from .section_spaces import (
@@ -74,9 +82,25 @@ class _Suite:
             expected == computed, now - self._mark))
         self._mark = now
 
+    def tally(self, name: str, good: int, total: int, want: int | None = None):
+        """Check that `good` of `total` cases hold, against want/want (want = total)."""
+        want = total if want is None else want
+        self.check(name, f"{want}/{want}", f"{good}/{total}")
 
-def _fraction_line(good: int, total: int) -> str:
-    return f"{good}/{total}"
+
+def _quick(n: int, r: int) -> bool:
+    """The quick profile's one rule: P^n with n <= 3 blown up at r <= 7 points."""
+    return n <= 3 and r <= 7
+
+
+def _context_blowup(t) -> tuple:
+    """(n, r) of a context (a, b, c): n = c - 1, r = b + c."""
+    return t[2] - 1, t[1] + t[2]
+
+
+def _grid(profile: str, cases, blowup=lambda case: case) -> list:
+    """The cases that `profile` runs; `blowup` reads the (n, r) of a case."""
+    return [case for case in cases if profile == "full" or _quick(*blowup(case))]
 
 
 # 1. orbit sizes of the last exceptional class
@@ -104,18 +128,9 @@ _MINUSCULE_TRUE = (
 _MINUSCULE_FALSE = ((2, 3, 4), (2, 3, 5))
 
 
-def _minuscule_quick_ok(t) -> bool:
-    a, b, c = t
-    if b + c > 7:
-        return False
-    return not (a == 2 and b == 2 and c > 4)
-
-
 def _minuscule_verdicts(s: _Suite, profile: str, rng: random.Random):
     for want, group in ((True, _MINUSCULE_TRUE), (False, _MINUSCULE_FALSE)):
-        for t in group:
-            if profile == "quick" and not _minuscule_quick_ok(t):
-                continue
+        for t in _grid(profile, group, _context_blowup):
             s.check(f"minuscule {t}", want, is_minuscule(LatticeContext(*t)))
 
 
@@ -125,9 +140,7 @@ _MINIMAL_COUNTS = (((2, 5), 11), ((3, 6), 26), ((4, 7), 57))
 
 
 def _minimal_counts(s: _Suite, profile: str, rng: random.Random):
-    for (n, r), want in _MINIMAL_COUNTS:
-        if profile == "quick" and n > 3:
-            continue
+    for (n, r), want in _grid(profile, _MINIMAL_COUNTS, lambda case: case[0]):
         bc = BlowupContext(n, r)
         found = len(enumerate_minimal(bc))
         s.check(f"minimal count ({n},{r})", want, found)
@@ -136,29 +149,23 @@ def _minimal_counts(s: _Suite, profile: str, rng: random.Random):
 
 # 4. section-space dimensions
 
-_H0_GRID_FULL = ((2, 5), (2, 6), (2, 7), (2, 8), (3, 6), (3, 7), (3, 8), (4, 7), (4, 8))
-_H0_GRID_QUICK = ((2, 5), (2, 6), (2, 7), (3, 6), (3, 7))
-_CONES_GRID_FULL = ((2, 6), (2, 7), (3, 7), (4, 8))
-_CONES_GRID_QUICK = ((2, 6), (2, 7), (3, 7))
+_H0_GRID = ((2, 5), (2, 6), (2, 7), (2, 8), (3, 6), (3, 7), (3, 8), (4, 7), (4, 8))
+_CONES_GRID = ((2, 6), (2, 7), (3, 7), (4, 8))
 
 
 def _h0_suite(s: _Suite, profile: str, rng: random.Random):
-    grid = _H0_GRID_QUICK if profile == "quick" else _H0_GRID_FULL
-    for n, r in grid:
+    for n, r in _grid(profile, _H0_GRID):
         cfg = PointConfig.default(n, r)
         ctx = cfg.lattice_context()
         mins = enumerate_minimal(cfg.blowup_context())
         ones = sum(1 for e in mins if h0(e, cfg) == 1)
-        s.check(f"h0(E)=1 for every minimal E ({n},{r})",
-                _fraction_line(len(mins), len(mins)), _fraction_line(ones, len(mins)))
+        s.tally(f"h0(E)=1 for every minimal E ({n},{r})", ones, len(mins))
         gone = sum(1 for e in mins
                    if all(h0(e - DivisorClass.exceptional(ctx, i), cfg) == 0
                           for i in range(1, r + 1)))
-        s.check(f"h0(E-E_i)=0 for every minimal E ({n},{r})",
-                _fraction_line(len(mins), len(mins)), _fraction_line(gone, len(mins)))
+        s.tally(f"h0(E-E_i)=0 for every minimal E ({n},{r})", gone, len(mins))
 
-    grid = _CONES_GRID_QUICK if profile == "quick" else _CONES_GRID_FULL
-    for n, r in grid:
+    for n, r in _grid(profile, _CONES_GRID):
         cfg = PointConfig.default(n, r)
         ctx = cfg.lattice_context()
         total = good = 0
@@ -175,19 +182,16 @@ def _h0_suite(s: _Suite, profile: str, rng: random.Random):
                 if all(rank([vecs[i] for i in pick]) == k + 1
                        for pick in combinations(sorted(comp), k + 1)):
                     good += 1
-        s.check(f"cone classes h0=k+1 with spanning sub-sections ({n},{r})",
-                _fraction_line(total, total), _fraction_line(good, total))
+        s.tally(f"cone classes h0=k+1 with spanning sub-sections ({n},{r})", good, total)
 
 
 # 5. multiplicities at points and along the curve
 
-_MULT_GRID_FULL = ((2, 5), (2, 6), (2, 7), (2, 8), (3, 6), (3, 7), (3, 8))
-_MULT_GRID_QUICK = ((2, 5), (2, 6), (2, 7), (3, 6), (3, 7))
+_MULT_GRID = ((2, 5), (2, 6), (2, 7), (2, 8), (3, 6), (3, 7), (3, 8))
 
 
 def _mult_suite(s: _Suite, profile: str, rng: random.Random):
-    grid = _MULT_GRID_QUICK if profile == "quick" else _MULT_GRID_FULL
-    for n, r in grid:
+    for n, r in _grid(profile, _MULT_GRID):
         cfg = PointConfig.default(n, r)
         bc = cfg.blowup_context()
         points = cfg.points()
@@ -200,15 +204,15 @@ def _mult_suite(s: _Suite, profile: str, rng: random.Random):
                     for i in range(1, r + 1))
                     and mult_along_curve(f, cfg) == k - 1):
                 good += 1
-        s.check(f"multiplicity pattern k/k-1 and curve order k-1 ({n},{r})",
-                _fraction_line(len(mins), len(mins)), _fraction_line(good, len(mins)))
+        s.tally(f"multiplicity pattern k/k-1 and curve order k-1 ({n},{r})", good, len(mins))
 
+    sample_grid = _grid("quick", _MULT_GRID)
     want = 30 if profile == "quick" else 100
     found = ok = 0
     attempts = 0
     while found < want and attempts < 40 * want:
         attempts += 1
-        n, r = rng.choice(_MULT_GRID_QUICK)
+        n, r = rng.choice(sample_grid)
         cfg = PointConfig.default(n, r)
         d = rng.randint(1, 4)
         m = tuple(rng.randint(0, d) for _ in range(r))
@@ -220,8 +224,7 @@ def _mult_suite(s: _Suite, profile: str, rng: random.Random):
         bound = mult_lower_bound(dd, cfg.blowup_context())
         if mult_along_curve(form_from_vector(n, d, fs.kernel[0]), cfg) >= bound:
             ok += 1
-    s.check(f"curve order >= multiplicity bound on {want} sampled classes",
-            _fraction_line(want, want), _fraction_line(ok, found))
+    s.tally(f"curve order >= multiplicity bound on {want} sampled classes", ok, found, want)
 
 
 # 6. table decompositions
@@ -257,36 +260,29 @@ def _table_decomposition(s: _Suite, profile: str, rng: random.Random):
         dd = DivisorClass(ctx, (deg,), m)
         if _decompose_checks(dd, effective_decompose(dd)):
             good += 1
-    s.check(f"{total} random decompositions valid and re-sum",
-            _fraction_line(total, total), _fraction_line(good, total))
+    s.tally(f"{total} random decompositions valid and re-sum", good, total)
 
 
 # 7. invariance of the determinants
 
-def _odd_subsets(r: int):
-    for size in range(1, r + 1, 2):
-        yield from combinations(range(1, r + 1), size)
+# the blow-ups of P^n at r = n + 3 points that criteria 7 and 8 visit
+_NAGATA_GRID = tuple((n, n + 3) for n in range(2, 6))
 
 
 def _invariance(s: _Suite, profile: str, rng: random.Random):
-    top = 3 if profile == "quick" else 5
     seeds = [rng.randrange(10 ** 6) for _ in range(3)]
-    for n in range(2, top + 1):
-        r = n + 3
+    for n, r in _grid(profile, _NAGATA_GRID):
         for label, np in [("default", NagataParams.default(r))] + [
                 (f"seed {sd}", NagataParams.random(r, sd)) for sd in seeds]:
-            good = sum(1 for idx in _odd_subsets(r) if is_invariant(build_F(idx, np), np))
-            s.check(f"invariance of all 2^{n + 2} determinants (n={n}, {label})",
-                    _fraction_line(2 ** (n + 2), 2 ** (n + 2)),
-                    _fraction_line(good, 2 ** (n + 2)))
+            good = sum(1 for idx in odd_index_sets(r) if is_invariant(build_F(idx, np), np))
+            s.tally(f"invariance of all 2^{n + 2} determinants (n={n}, {label})",
+                    good, 2 ** (n + 2))
 
 
 # 8. determinant classes match the minimal divisors
 
 def _class_correspondence(s: _Suite, profile: str, rng: random.Random):
-    top = 3 if profile == "quick" else 5
-    for n in range(2, top + 1):
-        r = n + 3
+    for n, r in _grid(profile, _NAGATA_GRID):
         np = NagataParams.default(r)
         bc = BlowupContext(n, r)
         ctx = bc.lattice_context()
@@ -304,21 +300,16 @@ def _class_correspondence(s: _Suite, profile: str, rng: random.Random):
                     good += 1
                 if degree(cls) == 1:
                     deg_ok += 1
-        s.check(f"determinant classes hit all minimal divisors (n={n})",
-                _fraction_line(2 ** (n + 2), 2 ** (n + 2)), _fraction_line(good, total))
-        s.check(f"determinant classes have degree 1 (n={n})",
-                _fraction_line(2 ** (n + 2), 2 ** (n + 2)), _fraction_line(deg_ok, total))
+        # total counts the 2^(n+2) odd index sets of 1..r
+        s.tally(f"determinant classes hit all minimal divisors (n={n})", good, total)
+        s.tally(f"determinant classes have degree 1 (n={n})", deg_ok, total)
 
 
 # 9. span of generator products inside every section space
 
-def _all_mults(r: int, d: int):
-    yield from product(range(d + 1), repeat=r)
-
-
-def _sorted_mults(r: int, d: int):
-    yield from combinations_with_replacement(range(d, -1, -1), r)
-
+# the multiplicity vectors of degree d that a generation row visits
+_MULTS = {"all": lambda r, d: product(range(d + 1), repeat=r),
+          "sorted": lambda r, d: combinations_with_replacement(range(d, -1, -1), r)}
 
 _GENERATION_GRID_FULL = (
     (2, 5, 4, "all"), (2, 6, 4, "all"), (2, 7, 4, "sorted"),
@@ -335,7 +326,7 @@ def _generation(s: _Suite, profile: str, rng: random.Random):
     for n, r, dmax, mode in grid:
         cfg = PointConfig.default(n, r)
         ctx = cfg.lattice_context()
-        mults = _all_mults if mode == "all" else _sorted_mults
+        mults = _MULTS[mode]
         total = good = 0
         for deg in range(dmax + 1):
             for m in mults(r, deg):
@@ -345,8 +336,7 @@ def _generation(s: _Suite, profile: str, rng: random.Random):
                 total += 1
                 if report.generated and report.span_dim == report.h0:
                     good += 1
-        s.check(f"products span every section space ({n},{r},d<={dmax},{mode} m)",
-                _fraction_line(total, total), _fraction_line(good, total))
+        s.tally(f"products span every section space ({n},{r},d<={dmax},{mode} m)", good, total)
 
 
 # 10. anticanonical degree
@@ -358,18 +348,14 @@ def _anticanonical_degree(s: _Suite, profile: str, rng: random.Random):
 
 # 11. membership agrees with h0 and with reflections
 
-_MEMBERSHIP_CONTEXTS_FULL = ((2, 2, 3), (2, 2, 4), (2, 2, 5))
-_MEMBERSHIP_CONTEXTS_QUICK = ((2, 2, 3), (2, 2, 4))
+_MEMBERSHIP_CONTEXTS = ((2, 2, 3), (2, 2, 4), (2, 2, 5))
 
 
 def _membership_coherence(s: _Suite, profile: str, rng: random.Random):
-    contexts = (_MEMBERSHIP_CONTEXTS_QUICK if profile == "quick"
-                else _MEMBERSHIP_CONTEXTS_FULL)
     want = 100 if profile == "quick" else 200
-    for t in contexts:
+    for t in _grid(profile, _MEMBERSHIP_CONTEXTS, _context_blowup):
         ctx = LatticeContext(*t)
-        n = ctx.c - 1
-        cfg = PointConfig.default(n, ctx.r)
+        cfg = PointConfig.default(*_context_blowup(t))
         rs = simple_roots(ctx)
         implied = mirrored = positive = 0
         for _ in range(want):
@@ -384,10 +370,8 @@ def _membership_coherence(s: _Suite, profile: str, rng: random.Random):
             if all(bool(eff_membership(reflect(alpha, dd))) == member
                    for alpha in rs.simple_roots):
                 mirrored += 1
-        s.check(f"h0>0 implies membership {t}",
-                _fraction_line(positive, positive), _fraction_line(implied, positive))
-        s.check(f"reflections preserve membership {t}",
-                _fraction_line(want, want), _fraction_line(mirrored, want))
+        s.tally(f"h0>0 implies membership {t}", implied, positive)
+        s.tally(f"reflections preserve membership {t}", mirrored, want)
 
 
 CRITERIA = {
@@ -419,7 +403,7 @@ def run_criterion(k: int, profile: str = "full", seed: int = 0):
     except Exception as exc:
         suite.results.append(CheckResult(
             k, f"{name} aborted", "completion", f"{type(exc).__name__}: {exc}",
-            False, 0.0))
+            False, time.monotonic() - suite._mark))
     return tuple(suite.results)
 
 

@@ -1,15 +1,21 @@
 """The full reproducibility gate: every criterion, full profile, seed 0.
 
-Each criterion must pass every one of its checks exactly and finish
-inside its wall-clock budget; one summary line per criterion lands in
-the terminal section printed by conftest.
+Each criterion must pass every one of its checks exactly, reproduce its
+records in tests/verify_full_golden.json exactly and finish inside its
+wall-clock budget; one summary line per criterion lands in the terminal
+section printed by conftest.
 """
 
+import json
 import time
+from pathlib import Path
 
 import pytest
 
 from coxforge.verify import CRITERIA, run_criterion
+
+# every record of `coxforge verify --profile full --seed 0`, in run order
+GOLDEN = json.loads((Path(__file__).parent / "verify_full_golden.json").read_text())
 
 # seconds; criterion 1 is budgeted per check, the rest per criterion
 BUDGETS = {
@@ -43,6 +49,8 @@ def test_criterion(criterion, acceptance_log):
         f"criterion {criterion:2d} ({name}): {status} - "
         f"{len(results)} checks in {elapsed:.1f}s (budget {BUDGETS[criterion]:.0f}s)")
 
+    assert [res.to_json() for res in results] == [
+        rec for rec in GOLDEN if rec["criterion"] == criterion]
     for res in failures:
         pytest.fail(
             f"criterion {criterion} ({name}) check {res.name!r}: "

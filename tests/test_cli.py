@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from coxforge import cli
 from coxforge.blowup_divisors import decompose_degree1
 from coxforge.cli import main
 from coxforge.picard_lattice import DivisorClass, LatticeContext, degree
@@ -250,6 +251,26 @@ def test_invariant_check_all_bounds_its_terms(capsys, monkeypatch):
     assert code == 2 and json.loads(err)["error"]["cap"] == 9
     code, out, _ = run(capsys, "invariant", "build", "-I", "1,2,3,4,5", "--r", "5", "--cap", "10")
     assert code == 0 and len(json.loads(out)) == 10
+
+
+def test_invariant_check_all_reports_a_failure_and_stops_building(capsys, monkeypatch):
+    built = []
+    build_F = cli.build_F
+
+    def counting_build_F(idx, np, cap=None):
+        built.append(tuple(idx))
+        return build_F(idx, np, cap)
+
+    monkeypatch.setattr(cli, "build_F", counting_build_F)
+    monkeypatch.setattr(cli, "is_invariant", lambda p, np: built[-1] != (1, 2, 3))
+    payload = run_json(capsys, "invariant", "check", "--all", "--r", "5")
+    assert payload == {"checked": 16, "invariant": False}
+    # the odd index sets run by size, so (1, 2, 3) is the sixth; none after it is built
+    assert built == [(1,), (2,), (3,), (4,), (5,), (1, 2, 3)]
+    built.clear()
+    code, out, _ = run(capsys, "invariant", "check", "--all", "--r", "5", "--format", "table")
+    assert (code, out) == (0, "FAILURE among the 16 determinants\n")
+    assert built[-1] == (1, 2, 3) and len(built) == 6
 
 
 def test_readme_examples_match_their_golden_output(capsys):

@@ -1,30 +1,15 @@
 """Every docstring example in the package must run as written."""
 
 import doctest
+import importlib
+import pkgutil
 
 import pytest
 
 import coxforge
-from coxforge import (
-    blowup_divisors,
-    budget,
-    cli,
-    errors,
-    jsonutil,
-    linalg,
-    multipoly,
-    nagata_invariants,
-    picard_lattice,
-    root_system,
-    section_spaces,
-    verify,
-)
 
-MODULES = [
-    coxforge, blowup_divisors, budget, cli, errors, jsonutil, linalg,
-    multipoly, nagata_invariants, picard_lattice, root_system,
-    section_spaces, verify,
-]
+MODULES = [coxforge] + [importlib.import_module(f"coxforge.{info.name}")
+                        for info in pkgutil.iter_modules(coxforge.__path__)]
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)

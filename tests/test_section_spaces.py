@@ -19,6 +19,7 @@ from coxforge.blowup_divisors import enumerate_minimal, mult_lower_bound
 from coxforge.errors import CapExceeded, PreconditionError
 from coxforge.linalg import RowEchelon, rank
 from coxforge.multipoly import MultiPoly
+from coxforge.nagata_invariants import NagataParams
 from coxforge.picard_lattice import DivisorClass, anticanonical, hdeg
 from coxforge.root_system import reflect, simple_roots
 from coxforge.section_spaces import (
@@ -93,6 +94,18 @@ def test_point_config_validation():
         PointConfig(2, 5, (1, 1, 2, 3, 4))
     with pytest.raises(PreconditionError):
         PointConfig(2, 4, (1, 2, 3, 4))
+
+
+@pytest.mark.parametrize("bad", ["a", None, 0.1, True, "1/2"])
+def test_parameters_and_coordinates_follow_the_coefficient_rule(bad):
+    # an int or a Fraction, as for MultiPoly coefficients; anything else is
+    # a PreconditionError naming the field, never a bare error or a float
+    for build, field in ((lambda: PointConfig(2, 5, (bad, 2, 3, 4, 5)), "params"),
+                         (lambda: NagataParams(5, (1, 2, 3, 4, bad)), "params"),
+                         (lambda: mult_at_point(MultiPoly.variable("z_0"), (1, bad, 0)), "p")):
+        with pytest.raises(PreconditionError) as info:
+            build()
+        assert info.value.field == field
 
 
 def test_point_config_random_is_deterministic():
