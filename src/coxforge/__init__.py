@@ -24,7 +24,7 @@ from .blowup_divisors import (
     mult_lower_bound,
     project_class,
 )
-from .errors import CapExceeded, CoxforgeError, PreconditionError, SingularMatrixError
+from .errors import CapExceeded, CoxforgeError, PreconditionError
 from .multipoly import MultiPoly
 from .nagata_invariants import (
     NagataParams,
@@ -80,7 +80,7 @@ __all__ = [
     "CurveClass", "DivisorClass", "FormSpace", "GenerationReport",
     "LatticeContext", "MembershipResult", "MultiPoly", "NagataParams",
     "PointConfig", "PreconditionError", "ProjectionResult", "Report",
-    "RootSystemData", "SingularMatrixError", "anticanonical", "build_F",
+    "RootSystemData", "anticanonical", "build_F",
     "canonical_class", "classify_minimal_projection", "decompose_degree1",
     "degree", "degree_one_divisors", "divisor_class_of", "dynkin_label",
     "eff_membership", "effective_decompose", "enumerate_minimal",

@@ -32,7 +32,7 @@ from .picard_lattice import (
     hdeg,
     intersect,
 )
-from .root_system import _degree_one_coords, _finite_system, weyl_orbit_curves
+from .root_system import _curve_moves, _degree_one_coords, _finite_system, _orbit
 
 
 @dataclass(frozen=True, order=True)
@@ -67,6 +67,10 @@ class BlowupContext:
 def curve_params(r: int, values) -> tuple:
     """The values as r pairwise distinct Fractions, or PreconditionError;
     each must be an int or a Fraction, as MultiPoly coefficients must."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise PreconditionError("params", f"expected {r} values, got {values!r}") from None
     params = tuple(_coerce_coef(v, "params") for v in values)
     if len(params) != r:
         raise PreconditionError("params", f"expected {r} values, got {len(params)}")
@@ -253,7 +257,7 @@ def _nef_orbit(ctx: LatticeContext, curve: str, cap: int) -> tuple:
         f = CurveClass(ctx, (1,) * (ctx.a - 1), (-1,) + (0,) * (ctx.r - 1))
     else:
         f = CurveClass.line(ctx, ctx.a - 1)
-    return tuple(g.coords() for g in weyl_orbit_curves(f, rs, cap))
+    return tuple(_orbit(f.coords(), _curve_moves(rs), cap, "weyl_orbit_curves"))
 
 
 def eff_membership(d: DivisorClass, cap: int | None = None) -> MembershipResult:

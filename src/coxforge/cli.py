@@ -319,7 +319,8 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="coxforge", description=__doc__)
     common = _Parser(add_help=False)
     common.add_argument("--format", choices=("json", "table"), default="json")
-    common.add_argument("--cap", type=int, default=None)
+    capped = _Parser(add_help=False)
+    capped.add_argument("--cap", type=int, default=None)
     ctx = _Parser(add_help=False)
     ctx.add_argument("--ctx", type=_triple, required=True)
     blowup = _Parser(add_help=False)
@@ -335,11 +336,12 @@ def build_parser() -> _Parser:
         p.set_defaults(run=run)
         return p
 
-    for name, run in (("classify", _cmd_classify), ("roots", _cmd_roots),
-                      ("degree-one", _cmd_degree_one), ("minuscule", _cmd_minuscule)):
-        verb(name, run, ctx)
+    for name, run, *shapes in (("classify", _cmd_classify), ("roots", _cmd_roots),
+                               ("degree-one", _cmd_degree_one, capped),
+                               ("minuscule", _cmd_minuscule, capped)):
+        verb(name, run, *shapes, ctx)
 
-    p = verb("orbit", _cmd_orbit, ctx)
+    p = verb("orbit", _cmd_orbit, capped, ctx)
     p.add_argument("--h", type=_int_list, default=None)
     p.add_argument("--m", type=_int_list, default=None)
 
@@ -348,7 +350,7 @@ def build_parser() -> _Parser:
     p = verb("project", _cmd_project, blowup, divisor)
     p.add_argument("--classify", action="store_true")
 
-    p = verb("decompose", _cmd_decompose)
+    p = verb("decompose", _cmd_decompose, capped)
     p.add_argument("--ctx", type=_triple, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--d", type=int, default=None)
@@ -356,17 +358,17 @@ def build_parser() -> _Parser:
     p.add_argument("--m", type=_int_list, required=True)
     p.add_argument("--degree-one", dest="degree_one", action="store_true")
 
-    p = verb("member", _cmd_member, ctx)
+    p = verb("member", _cmd_member, capped, ctx)
     p.add_argument("--h", type=_int_list, default=None)
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--m", type=_int_list, required=True)
 
-    for name, run in (("h0", _cmd_h0), ("section", _cmd_section), ("mult", _cmd_mult),
-                      ("check-generation", _cmd_check_generation)):
-        p = verb(name, run, blowup, divisor)
+    for name, run, *shapes in (("h0", _cmd_h0), ("section", _cmd_section), ("mult", _cmd_mult),
+                               ("check-generation", _cmd_check_generation, capped)):
+        p = verb(name, run, *shapes, blowup, divisor)
         p.add_argument("--params", type=_fraction_list, default=None)
 
-    p = verb("invariant", _cmd_invariant)
+    p = verb("invariant", _cmd_invariant, capped)
     p.add_argument("action", choices=("build", "check", "class"))
     p.add_argument("-I", "--indices", type=_int_list, default=None)
     p.add_argument("--n", type=int, default=None)

@@ -28,7 +28,3 @@ class CapExceeded(CoxforgeError, RuntimeError):
         self.what = what
         self.cap = cap
         super().__init__(f"{what}: cap of {cap} nodes exhausted")
-
-
-class SingularMatrixError(CoxforgeError):
-    """Square solve/inversion met a singular matrix."""

@@ -1,7 +1,7 @@
 """Exact linear algebra over the rationals on one fraction-free core.
 
-`RowEchelon` takes integer rows one at a time; `rank`, `nullspace` and
-`invert` clear the denominators of rational input first, in `_integer_row`.
+`RowEchelon` takes integer rows one at a time; `rank` and `nullspace` clear
+the denominators of rational input first, in `_integer_row`.
 A row is reduced by the stored rows, in the order they were stored, with the
 Bareiss step
 
@@ -26,7 +26,7 @@ exact.  Each vector is divided by p_r once, at the end: one vector per free
 column, with 1 there and 0 in the other free columns, which is the
 canonical basis of the reduced row echelon form.
 
-Rank, kernels, inverses, the section spaces and the span tracking of the
+Rank, kernels, the section spaces and the span tracking of the
 generation test all run on this one core.
 """
 
@@ -36,8 +36,6 @@ from fractions import Fraction
 from itertools import repeat
 from math import lcm
 from operator import mul
-
-from .errors import SingularMatrixError
 
 
 class RowEchelon:
@@ -157,19 +155,3 @@ def nullspace(rows, ncols: int):
     echelon entries in the pivot columns; ordered by free column index.
     """
     return echelon(map(_integer_row, rows), ncols).kernel()
-
-
-def invert(a):
-    """Exact inverse of a square matrix as a list of Fraction rows.
-
-    The kernel of [A | -I] is {(x, y) : A x = y}; its canonical vector for
-    the free column n + j is (column j of A^-1, e_j).  A is singular exactly
-    when a pivot falls among the last n columns.
-    """
-    n = len(a)
-    ech = RowEchelon(2 * n)
-    for i, row in enumerate(a):
-        ech.add(_integer_row(list(row) + [-1 if j == i else 0 for j in range(n)]))
-    if ech.pivots() != list(range(n)):
-        raise SingularMatrixError("matrix is singular")
-    return [list(row) for row in zip(*(vec[:n] for vec in ech.kernel()))]

@@ -10,11 +10,14 @@ fundamental-weight basis, full weight systems of irreducible highest
 weight modules by string saturation, minuscule detection, and the
 enumeration of all divisor classes of degree one.
 
-Every orbit is one breadth-first closure, `_orbit`, of a coordinate tuple
-under moves x -> x + (x . f) v: (dual(alpha), alpha) for divisors, where
-`_dual` applies the Gram form, (alpha, dual(alpha)) for curves and (e_i,
-minus Cartan column i) for weights.  Roots are validated once per orbit, and
-tuples become classes once, after sorting.
+Two closures over coordinate tuples serve every enumeration.  `_orbit`
+closes under moves x -> x + (x . f) v: (dual(alpha), alpha) for divisors,
+where `_dual` applies the Gram form, (alpha, dual(alpha)) for curves and
+(e_i, minus Cartan column i) for weights.  `_saturate` closes under root
+strings x -> x + v, .., x + x[i] v for x[i] > 0: (i, minus Cartan column i)
+for the weights of a module, and the same moves with alpha_i appended for
+the degree-one classes, which carry their weight in front.  Roots are
+validated once per orbit, and tuples become classes once, after sorting.
 
 Root ordering: alpha_i = E_i - E_{i+1} for i < r, alpha_r = H_1 - E_1 -
 ... - E_c, then alpha_{r+j} = H_{j+1} - H_j walking up the remaining
@@ -29,17 +32,15 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 
 from .budget import effective_cap
 from .errors import CapExceeded, PreconditionError
-from .linalg import invert
 from .picard_lattice import (
     CurveClass,
     DivisorClass,
     LatticeContext,
     _check_coords,
-    anticanonical,
-    canonical_class,
     pairing,
 )
 
@@ -168,6 +169,32 @@ def _orbit(start: tuple, moves, cap: int, what: str) -> list:
     return sorted(seen)
 
 
+def _saturate(start: tuple, moves, cap: int, what: str) -> set:
+    """Breadth-first string closure of a coordinate tuple under the moves.
+
+    A move (i, v) sends x to x + v, .., x + x[i] v when x[i] > 0.  More than
+    `cap` distinct tuples raise CapExceeded(what, cap).
+    """
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        x = queue.popleft()
+        for i, v in moves:
+            y = x
+            for _ in range(x[i]):
+                y = tuple(map(add, y, v))
+                if y not in seen:
+                    seen.add(y)
+                    if len(seen) > cap:
+                        raise CapExceeded(what, cap)
+                    queue.append(y)
+    return seen
+
+
+def _curve_moves(rs: RootSystemData) -> list:
+    return [(alpha.coords(), _dual(alpha)) for alpha in rs.simple_roots]
+
+
 def _check_roots(rs: RootSystemData, ctx: LatticeContext, detail: str):
     # what reflect demands of each axis, asked once per orbit
     for alpha in rs.simple_roots:
@@ -193,8 +220,7 @@ def weyl_orbit_curves(g: CurveClass, rs: RootSystemData, cap: int | None = None)
     """Weyl orbit of a curve class under the induced action, sorted."""
     cap = effective_cap(cap)
     _check_roots(rs, g.ctx, "divisor and curve live in different contexts")
-    moves = [(alpha.coords(), _dual(alpha)) for alpha in rs.simple_roots]
-    orbit = _orbit(g.coords(), moves, cap, "weyl_orbit_curves")
+    orbit = _orbit(g.coords(), _curve_moves(rs), cap, "weyl_orbit_curves")
     return tuple(CurveClass.from_coords(g.ctx, x) for x in orbit)
 
 
@@ -224,21 +250,8 @@ def weights_of_irrep(lam, rs: RootSystemData, cap: int | None = None):
     if any(v < 0 for v in lam):
         raise PreconditionError("lambda", f"highest weight must be dominant, got {lam}")
     cap = effective_cap(cap)
-    alpha = [tuple(cartan[j][i] for j in range(n)) for i in range(n)]
-    seen = {lam}
-    queue = deque([lam])
-    while queue:
-        mu = queue.popleft()
-        for i in range(n):
-            nu = mu
-            for _ in range(mu[i] if mu[i] > 0 else 0):
-                nu = tuple(x - y for x, y in zip(nu, alpha[i]))
-                if nu not in seen:
-                    seen.add(nu)
-                    if len(seen) > cap:
-                        raise CapExceeded("weight saturation", cap)
-                    queue.append(nu)
-    return tuple(sorted(seen))
+    moves = [(i, tuple(-cartan[j][i] for j in range(n))) for i in range(n)]
+    return tuple(sorted(_saturate(lam, moves, cap, "weight saturation")))
 
 
 def weyl_orbit_weights(w, rs: RootSystemData, cap: int | None = None):
@@ -272,38 +285,33 @@ def is_minuscule(ctx: LatticeContext, cap: int | None = None) -> bool:
     return weights_of_irrep(lam, rs, cap) == weyl_orbit_weights(lam, rs, cap)
 
 
-def _degree_one_system(ctx: LatticeContext) -> RootSystemData:
-    rs = _finite_system(ctx)
-    k = canonical_class(ctx)
-    if pairing(k, k) == 0:
-        raise PreconditionError("ctx", "pairing(K, K) = 0")
-    return rs
-
-
 @lru_cache(maxsize=16)
 def _degree_one_coords(ctx: LatticeContext, cap: int) -> tuple:
     """The sorted flat coordinate tuples of `degree_one_divisors`, built once
-    per (context, resolved cap): E8's 2,401 classes take about a second.  A
-    pass of the lattice benchmark meets 3 pairs and a CLI call one, so 16
-    entries hold either working set."""
-    rs = _degree_one_system(ctx)
-    inv = invert([_dual(v) for v in rs.simple_roots + (anticanonical(ctx),)])
-    out = []
-    for mu in weights_of_irrep(_top_weight(ctx), rs, cap):
-        rhs = list(mu) + [ctx.kappa]
-        coords = [sum(row[j] * rhs[j] for j in range(len(rhs))) for row in inv]
-        if all(v.denominator == 1 for v in coords):
-            out.append(tuple(int(v) for v in coords))
-    return tuple(sorted(out))
+    per (context, resolved cap).  A pass of the lattice benchmark meets 3
+    pairs and a CLI call one, so 16 entries hold either working set.
+
+    Adding alpha_i to a class keeps its degree and subtracts row i of the
+    Cartan matrix from its weight, so the classes are the string closure of
+    E_r with its weight written in front; the weight part runs through the
+    same states, in the same order, as `weights_of_irrep`.
+    """
+    rs = _finite_system(ctx)
+    n = len(rs.cartan)
+    top = DivisorClass.exceptional(ctx, ctx.r)
+    moves = [(i, tuple(-v for v in rs.cartan[i]) + alpha.coords())
+             for i, alpha in enumerate(rs.simple_roots)]
+    closure = _saturate(weight_coords(top) + top.coords(), moves, cap, "weight saturation")
+    return tuple(sorted(x[n:] for x in closure))
 
 
 def degree_one_divisors(ctx: LatticeContext, cap: int | None = None):
     """All divisor classes of degree 1 whose weight lies in the E_r system.
 
-    For each weight mu the pairing conditions against the simple roots plus
-    the degree-1 normalization form a square system of full rank; the class
-    is kept when the rational solution is integral.  Sorted output.
+    Each such class is E_r plus a nonnegative sum of simple roots, one for
+    each weight of the system: the root strings through E_r reach them all,
+    integral by construction.  Sorted output.
     """
-    _degree_one_system(ctx)  # the context is checked before the cap
+    _finite_system(ctx)  # the context is checked before the cap
     return tuple(DivisorClass.from_coords(ctx, x)
                  for x in _degree_one_coords(ctx, effective_cap(cap)))

@@ -31,7 +31,6 @@ from coxforge.root_system import (
     degree_one_divisors,
     reflect,
     simple_roots,
-    weights_of_irrep,
     weyl_orbit_curves,
 )
 
@@ -295,12 +294,13 @@ def test_decompose_degree1_agrees_with_brute_force_multisets():
 
 def test_decompose_degree1_lists_degree_one_classes_once_per_context(monkeypatch):
     built = []
+    saturate = root_system._saturate
 
-    def counted(lam, rs, cap=None):
+    def counted(start, moves, cap, what):
         built.append(cap)
-        return weights_of_irrep(lam, rs, cap)
+        return saturate(start, moves, cap, what)
 
-    monkeypatch.setattr(root_system, "weights_of_irrep", counted)
+    monkeypatch.setattr(root_system, "_saturate", counted)
     root_system._degree_one_coords.cache_clear()
     ctx = LatticeContext(2, 2, 3)
     target = 2 * anticanonical(ctx)
@@ -315,12 +315,13 @@ def test_decompose_degree1_lists_degree_one_classes_once_per_context(monkeypatch
 
 def test_listing_then_decomposing_builds_the_e8_weights_once(monkeypatch):
     built = []
+    saturate = root_system._saturate
 
-    def counted(lam, rs, cap=None):
-        built.append(lam)
-        return weights_of_irrep(lam, rs, cap)
+    def counted(start, moves, cap, what):
+        built.append(start)
+        return saturate(start, moves, cap, what)
 
-    monkeypatch.setattr(root_system, "weights_of_irrep", counted)
+    monkeypatch.setattr(root_system, "_saturate", counted)
     root_system._degree_one_coords.cache_clear()
     ctx = LatticeContext(2, 3, 5)
     classes = degree_one_divisors(ctx)
@@ -418,19 +419,20 @@ def test_decompose_degree1_cap_boundary(triple, k, nodes):
 
 def test_nef_orbits_are_built_one_curve_at_a_time(monkeypatch):
     built = []
+    orbit = blowup_divisors._orbit
 
-    def counted(g, rs, cap=None):
-        built.append(g)
-        return weyl_orbit_curves(g, rs, cap)
+    def counted(start, moves, cap, what):
+        built.append(start)
+        return orbit(start, moves, cap, what)
 
-    monkeypatch.setattr(blowup_divisors, "weyl_orbit_curves", counted)
+    monkeypatch.setattr(blowup_divisors, "_orbit", counted)
     blowup_divisors._nef_orbit.cache_clear()
     ctx = LatticeContext(2, 3, 3)
     f1 = CurveClass.line(ctx) - CurveClass.exceptional_line(ctx, 1)
     assert decompose_degree1(2 * anticanonical(ctx)) is not None
-    assert built == [f1]
+    assert built == [f1.coords()]
     assert eff_membership(anticanonical(ctx))
-    assert built == [f1, CurveClass.line(ctx)]
+    assert built == [f1.coords(), CurveClass.line(ctx).coords()]
     assert decompose_degree1(anticanonical(ctx)) is not None
     assert eff_membership(-DivisorClass.exceptional(ctx, 1)).certificate is not None
     assert len(built) == 2

@@ -208,6 +208,24 @@ def test_minuscule_refuses_infinite_type(capsys):
     assert payload == {"minuscule": False, "orbit": 126, "weights": 127}
 
 
+# the verbs that run no capped search take no --cap
+UNCAPPED = (("classify", "--ctx", "2,2,3"), ("roots", "--ctx", "2,2,3"),
+            ("minimal", "--n", "2", "--r", "5"),
+            ("project", "--n", "3", "--r", "6", "--d", "1", "--m", "1,1,1,0,0,0"),
+            ("h0", "--n", "2", "--r", "5", "--d", "2", "--m", "1,1,1,1,0"),
+            ("section", "--n", "2", "--r", "5", "--d", "2", "--m", "1,1,1,1,1"),
+            ("mult", "--n", "2", "--r", "5", "--d", "2", "--m", "1,1,1,1,1"),
+            ("verify",))
+
+
+@pytest.mark.parametrize("argv", UNCAPPED, ids=lambda argv: argv[0])
+def test_verbs_without_a_search_refuse_cap(capsys, argv):
+    for cap in ("-5", "100"):
+        code, out, err = run(capsys, *argv, "--cap", cap)
+        assert (code, out) == (64, "")
+        assert err == f"usage error: unrecognized arguments: --cap {cap}\n"
+
+
 def test_cap_exit_2_with_payload(capsys, monkeypatch):
     code, out, err = run(capsys, "orbit", "--ctx", "2,2,3", "--cap", "5")
     assert code == 2 and out == ""

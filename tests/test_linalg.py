@@ -9,8 +9,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coxforge.errors import SingularMatrixError
-from coxforge.linalg import RowEchelon, echelon, invert, nullspace, rank
+from coxforge.linalg import RowEchelon, echelon, nullspace, rank
 
 # a later row taking an earlier pivot column, dependent rows arriving before
 # independent ones, and the all-zero matrix
@@ -76,30 +75,6 @@ def test_nullspace_is_canonical_reduced_basis():
         (1, -2, 1, 0, 0), (2, -3, 0, 1, 0), (3, -4, 0, 0, 1)]
 
 
-def test_solve_and_invert_match_sympy():
-    """invert solves A X = I exactly."""
-    rng = random.Random(55)
-    done = 0
-    while done < 30:
-        n = rng.randint(1, 5)
-        rows = random_matrix(rng, n, n)
-        if to_sympy(rows).det() == 0:
-            continue
-        done += 1
-        inv = invert(rows)
-        assert to_sympy(inv) == to_sympy(rows) ** -1
-    for rows in ([[0, 1], [1, 0]], [[0, 0, 2], [0, 3, 1], [5, 1, 1]]):
-        assert to_sympy(invert(rows)) == to_sympy(rows) ** -1
-
-
-def test_singular_solve_raises():
-    """invert refuses a singular A.  [A | -I] always has n kernel vectors, so
-    singularity must show in the pivot columns, not in the vector count."""
-    for rows in ([[1, 2], [2, 4]], [[0, 0], [0, 0]], [[0, 1], [0, 1]]):
-        with pytest.raises(SingularMatrixError):
-            invert(rows)
-
-
 def fraction_kernel(ech):
     """Reference kernel of an echelon by back-substitution over Fraction, one
     canonical vector per free column; the integer back-substitution of
@@ -131,15 +106,6 @@ def full_echelon(rows, ncols):
     return ech
 
 
-def fraction_inverse(a):
-    n = len(a)
-    ech = full_echelon([list(row) + [-1 if j == i else 0 for j in range(n)]
-                        for i, row in enumerate(a)], 2 * n)
-    if ech.pivots() != list(range(n)):
-        return None
-    return [list(row) for row in zip(*(vec[:n] for vec in fraction_kernel(ech)))]
-
-
 @st.composite
 def matrices(draw):
     """Integer or Fraction matrices up to 8 x 8, some with zero rows and
@@ -161,13 +127,6 @@ def check_against_fraction_kernel(rows, ncols):
     want = fraction_kernel(ech)
     assert ech.kernel() == want
     assert nullspace(rows, ncols) == want
-    if len(rows) == ncols:
-        want_inverse = fraction_inverse(rows)
-        if want_inverse is None:
-            with pytest.raises(SingularMatrixError):
-                invert(rows)
-        else:
-            assert invert(rows) == want_inverse
 
 
 @settings(max_examples=150, deadline=None)

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+import sympy
 
 from coxforge.errors import CapExceeded, PreconditionError
 from coxforge.picard_lattice import (
@@ -282,6 +283,49 @@ def test_degree_one_divisors_e7_includes_half_anticanonical():
 def test_degree_one_divisors_really_have_degree_one():
     for ctx in (CTX223, LatticeContext(2, 3, 4)):
         assert all(degree(d) == 1 for d in degree_one_divisors(ctx))
+
+
+def _finite_contexts(max_rank):
+    # every finite-type context of Picard rank a + b + c - 1 <= max_rank
+    return [LatticeContext(a, b, c)
+            for a in range(2, max_rank) for b in range(1, max_rank) for c in range(2, max_rank)
+            if a + b + c - 1 <= max_rank and (a, c) != (2, 2) and is_finite_type(a, b, c)]
+
+
+def test_degree_one_classes_solve_the_weight_system_integrally():
+    """Oracle by a sympy inverse: each weight mu of the E_r system has one
+    class D with pairing(D, alpha_j) = mu_j and (D, -K) = kappa; it is
+    integral, and these classes are degree_one_divisors, whose cap fires
+    where the weights' does."""
+    checked = 0
+    for ctx in _finite_contexts(9):
+        rs = simple_roots(ctx)
+        try:
+            weights = weights_of_irrep(weight_coords(DivisorClass.exceptional(ctx, ctx.r)), rs,
+                                       cap=2401)
+        except CapExceeded:
+            continue  # (3, 2, 5) and (5, 2, 3): E8 with 26,401 weights
+        basis = [DivisorClass.from_coords(ctx, tuple(int(i == j) for j in range(ctx.rank)))
+                 for i in range(ctx.rank)]
+        system = [[pairing(e, alpha) for e in basis] for alpha in rs.simple_roots]
+        system.append([pairing(e, anticanonical(ctx)) for e in basis])
+        inverse = sympy.Matrix(system).inv()
+        scale = int(sympy.ilcm(*(v.q for v in inverse)))
+        adjugate = [[int(v * scale) for v in inverse.row(i)] for i in range(ctx.rank)]
+        solved = []
+        for mu in weights:
+            rhs = mu + (ctx.kappa,)
+            x = [sum(a * b for a, b in zip(row, rhs)) for row in adjugate]
+            assert all(v % scale == 0 for v in x), (ctx, mu)
+            solved.append(tuple(v // scale for v in x))
+        assert sorted(solved) == [d.coords() for d in degree_one_divisors(ctx)], ctx
+        size = len(weights)
+        assert len(degree_one_divisors(ctx, cap=size)) == size
+        with pytest.raises(CapExceeded) as err:
+            degree_one_divisors(ctx, cap=size - 1)
+        assert (err.value.what, err.value.cap) == ("weight saturation", size - 1)
+        checked += 1
+    assert checked == 41
 
 
 def _naive_orbit(start, roots, act, cap):

@@ -108,6 +108,13 @@ def test_parameters_and_coordinates_follow_the_coefficient_rule(bad):
         assert info.value.field == field
 
 
+def test_a_parameter_list_that_is_not_iterable_is_a_precondition_error():
+    for build in (lambda: PointConfig(2, 5, 7), lambda: NagataParams(5, None)):
+        with pytest.raises(PreconditionError) as info:
+            build()
+        assert info.value.field == "params"
+
+
 def test_point_config_random_is_deterministic():
     one = PointConfig.random(3, 7, 19)
     two = PointConfig.random(3, 7, 19)
