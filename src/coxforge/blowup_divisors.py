@@ -6,10 +6,13 @@ projective space; this module houses their minimal divisors kH - k sum_I E
 - (k-1) sum_{I^c} E, the restriction of classes to one dimension lower,
 multiplicity bounds along the curve, the row-major table decomposition of
 effective classes into hyperplane pieces, and effective-cone membership by
-Weyl translates of the two nef-curve inequalities.  Each nef curve's orbit
-is cached on its own, per (context, curve, cap): the degree-one
-decomposition prunes with the orbit of f1 alone (240 curves on E8) and
-never builds that of f2 (17,280 curves on E8), which membership also needs.
+Weyl translates of the two nef-curve inequalities.  Membership decides by a
+chamber walk and builds no orbit for a member; a non-member builds the
+orbit of the one nef curve it violates, for its certificate.  Each nef
+curve's orbit is cached on its own, per (context, curve, cap): the
+degree-one decomposition prunes with the orbit of f1 (240 curves on E8),
+and only a non-member that pairs >= 0 with all of it builds that of f2
+(17,280 curves on E8).
 """
 
 from __future__ import annotations
@@ -32,7 +35,15 @@ from .picard_lattice import (
     hdeg,
     intersect,
 )
-from .root_system import _curve_moves, _degree_one_coords, _finite_system, _orbit
+from .root_system import (
+    _curve_moves,
+    _degree_one_coords,
+    _divisor_moves,
+    _finite_system,
+    _orbit,
+    _sparse,
+    _walk,
+)
 
 
 @dataclass(frozen=True, order=True)
@@ -248,30 +259,56 @@ class MembershipResult:
         return self.member
 
 
+def _nef_curve(ctx: LatticeContext, curve: str) -> tuple:
+    # the flat coordinates of the nef curve "f1" = sum l_i - e_1 or "f2" = l_{a-1}
+    if curve == "f1":
+        return CurveClass(ctx, (1,) * (ctx.a - 1), (-1,) + (0,) * (ctx.r - 1)).coords()
+    return CurveClass.line(ctx, ctx.a - 1).coords()
+
+
 @lru_cache(maxsize=128)
 def _nef_orbit(ctx: LatticeContext, curve: str, cap: int) -> tuple:
-    # the sorted Weyl orbit of the nef curve "f1" = sum l_i - e_1 or
-    # "f2" = l_{a-1}, as flat coordinate tuples
+    # the sorted Weyl orbit of a nef curve, as flat coordinate tuples
     rs = _finite_system(ctx)
-    if curve == "f1":
-        f = CurveClass(ctx, (1,) * (ctx.a - 1), (-1,) + (0,) * (ctx.r - 1))
-    else:
-        f = CurveClass.line(ctx, ctx.a - 1)
-    return tuple(_orbit(f.coords(), _curve_moves(rs), cap, "weyl_orbit_curves"))
+    return tuple(_orbit(_nef_curve(ctx, curve), _curve_moves(rs), cap, "weyl_orbit_curves"))
+
+
+@lru_cache(maxsize=16)
+def _chamber(ctx: LatticeContext) -> tuple:
+    # the sparse divisor moves of a finite-type context, and the chamber
+    # representatives f1+ and f2+ of its nef curves; a pass of the lattice
+    # benchmark meets 3 contexts and a CLI call one
+    rs = _finite_system(ctx)
+    curve_moves = _sparse(_curve_moves(rs))
+    return (_sparse(_divisor_moves(rs)),
+            tuple(_walk(_nef_curve(ctx, curve), curve_moves) for curve in ("f1", "f2")))
 
 
 def eff_membership(d: DivisorClass, cap: int | None = None) -> MembershipResult:
     """Effective-cone test: d . g >= 0 for every Weyl translate g of the
     two nef curve classes.  The first violating g (in sorted orbit order,
     f1's orbit before f2's) is returned as the certificate.
+
+    No orbit is scanned to decide.  On a finite type the least d . (w f)
+    over the Weyl group is d+ . f+, where d+ and f+ are the representatives
+    of the two orbits in the closed fundamental chamber, in which every
+    simple root pairs >= 0 (Humphreys, Reflection Groups and Coxeter
+    Groups, 1990, ch. 1): for f+ in that chamber, w f+ - f+ is a
+    nonnegative sum of the curve duals of the simple roots, each of which d+
+    pairs >= 0 with.  So a walk takes d to d+, and f1+, f2+ are walked once
+    per context.  A member builds no orbit; a non-member builds, under the
+    cap, the orbit of the first curve it violates and scans it in sorted
+    order for the certificate.  On other types the walk need not end, and
+    only finite types are accepted.
     """
     cap = effective_cap(cap)
-    orbits = [_nef_orbit(d.ctx, curve, cap) for curve in ("f1", "f2")]
+    moves, chamber = _chamber(d.ctx)
     x = d.coords()
-    for orbit in orbits:
-        for g in orbit:
-            if sum(map(mul, x, g)) < 0:
-                return MembershipResult(False, CurveClass.from_coords(d.ctx, g))
+    top = _walk(x, moves)
+    for curve, f in zip(("f1", "f2"), chamber):
+        if sum(map(mul, top, f)) < 0:
+            g = next(g for g in _nef_orbit(d.ctx, curve, cap) if sum(map(mul, x, g)) < 0)
+            return MembershipResult(False, CurveClass.from_coords(d.ctx, g))
     return MembershipResult(True, None)
 
 

@@ -18,6 +18,11 @@ strings x -> x + v, .., x + x[i] v for x[i] > 0: (i, minus Cartan column i)
 for the weights of a module, and the same moves with alpha_i appended for
 the degree-one classes, which carry their weight in front.  Roots are
 validated once per orbit, and tuples become classes once, after sorting.
+`_walk` takes a tuple into the closed fundamental chamber by the same moves,
+reflecting while some simple root pairs negatively; effective-cone
+membership uses it.  A simple-root move touches 2 to c + 1 coordinates, so
+`_orbit` and `_walk` run on sparse moves (`_sparse`): the nonzero
+(index, value) pairs of f and v, found once per closure.
 
 Root ordering: alpha_i = E_i - E_{i+1} for i < r, alpha_r = H_1 - E_1 -
 ... - E_c, then alpha_{r+j} = H_{j+1} - H_j walking up the remaining
@@ -147,26 +152,63 @@ def _dual(v: DivisorClass) -> tuple:
     return tuple((v.ctx.c - 1) * sp - p for p in v.h) + tuple(-q for q in v.m)
 
 
+def _sparse(moves) -> tuple:
+    """Each move (f, v) as the nonzero (index, value) pairs of f and of v."""
+    return tuple((tuple((i, c) for i, c in enumerate(f) if c),
+                  tuple((i, c) for i, c in enumerate(v) if c)) for f, v in moves)
+
+
 def _orbit(start: tuple, moves, cap: int, what: str) -> list:
     """Sorted breadth-first closure of a coordinate tuple under the moves.
 
     A move (f, v) sends x to x + (x . f) v and is skipped when x . f = 0.
     More than `cap` distinct tuples raise CapExceeded(what, cap).
     """
+    moves = _sparse(moves)
     seen = {start}
     queue = deque([start])
     while queue:
         x = queue.popleft()
         for f, v in moves:
-            k = sum(a * b for a, b in zip(x, f))
+            k = 0
+            for i, c in f:
+                k += x[i] * c
             if k:
-                y = tuple(a + k * b for a, b in zip(x, v))
+                y = list(x)
+                for i, c in v:
+                    y[i] += k * c
+                y = tuple(y)
                 if y not in seen:
                     seen.add(y)
                     if len(seen) > cap:
                         raise CapExceeded(what, cap)
                     queue.append(y)
     return sorted(seen)
+
+
+def _walk(x: tuple, moves) -> tuple:
+    """The representative of x's orbit in the closed fundamental chamber.
+
+    The moves are sparse, as `_sparse` gives them.  While some move has
+    x . f < 0, x goes to x + (x . f) v, the reflection in that simple root.
+    Each step subtracts a positive multiple of v and lowers by one the
+    number of positive roots that pair negatively with x, so on a finite
+    type the walk ends after at most |positive roots| steps (120 on E8),
+    where every x . f >= 0; on other types it need not end.
+    """
+    x = list(x)
+    moved = True
+    while moved:
+        moved = False
+        for f, v in moves:
+            k = 0
+            for i, c in f:
+                k += x[i] * c
+            if k < 0:
+                for i, c in v:
+                    x[i] += k * c
+                moved = True
+    return tuple(x)
 
 
 def _saturate(start: tuple, moves, cap: int, what: str) -> set:
@@ -191,6 +233,10 @@ def _saturate(start: tuple, moves, cap: int, what: str) -> set:
     return seen
 
 
+def _divisor_moves(rs: RootSystemData) -> list:
+    return [(_dual(alpha), alpha.coords()) for alpha in rs.simple_roots]
+
+
 def _curve_moves(rs: RootSystemData) -> list:
     return [(alpha.coords(), _dual(alpha)) for alpha in rs.simple_roots]
 
@@ -211,8 +257,7 @@ def weyl_orbit(d: DivisorClass, rs: RootSystemData, cap: int | None = None):
     """
     cap = effective_cap(cap)
     _check_roots(rs, d.ctx, "divisor classes live in different contexts")
-    moves = [(_dual(alpha), alpha.coords()) for alpha in rs.simple_roots]
-    orbit = _orbit(d.coords(), moves, cap, "weyl_orbit")
+    orbit = _orbit(d.coords(), _divisor_moves(rs), cap, "weyl_orbit")
     return tuple(DivisorClass.from_coords(d.ctx, x) for x in orbit)
 
 

@@ -418,6 +418,8 @@ def test_decompose_degree1_cap_boundary(triple, k, nodes):
 
 
 def test_nef_orbits_are_built_one_curve_at_a_time(monkeypatch):
+    # a member builds no orbit; a non-member builds the orbit of the first
+    # nef curve it violates, so f2's only when f1's holds no violator
     built = []
     orbit = blowup_divisors._orbit
 
@@ -429,10 +431,60 @@ def test_nef_orbits_are_built_one_curve_at_a_time(monkeypatch):
     blowup_divisors._nef_orbit.cache_clear()
     ctx = LatticeContext(2, 3, 3)
     f1 = CurveClass.line(ctx) - CurveClass.exceptional_line(ctx, 1)
-    assert decompose_degree1(2 * anticanonical(ctx)) is not None
-    assert built == [f1.coords()]
+    f2 = CurveClass.line(ctx)
     assert eff_membership(anticanonical(ctx))
-    assert built == [f1.coords(), CurveClass.line(ctx).coords()]
-    assert decompose_degree1(anticanonical(ctx)) is not None
-    assert eff_membership(-DivisorClass.exceptional(ctx, 1)).certificate is not None
+    assert eff_membership(DivisorClass.exceptional(ctx, 6))
+    assert built == []
+    assert eff_membership(-DivisorClass.exceptional(ctx, 1)).certificate == f1
+    assert built == [f1.coords()]
+    # positive on f1's whole orbit, negative on part of f2's
+    d = DivisorClass(ctx, (1,), (-1, -1, -1, 1, 1, 1))
+    assert all(intersect(d, g) >= 0 for g in weyl_orbit_curves(f1, simple_roots(ctx)))
+    assert not eff_membership(d)
+    assert built == [f1.coords(), f2.coords()]
+    assert decompose_degree1(2 * anticanonical(ctx)) is not None
+    assert eff_membership(-DivisorClass.exceptional(ctx, 2)).certificate is not None
     assert len(built) == 2
+
+
+# |positive roots| of each type the walk is sampled on
+POSITIVE_ROOTS = {"D5": 20, "D7": 42, "D8": 56, "E6": 36, "E7": 63, "E8": 120, "A6": 21}
+
+
+def test_membership_walk_matches_the_full_orbit_oracle(monkeypatch):
+    # every simple-root reflection of the walk applies one move's v pairs
+    # once, so wrapping them counts the reflections of each walk
+    walks = []
+
+    class CountedPairs(tuple):
+        def __iter__(self):
+            walks[-1] += 1
+            return super().__iter__()
+
+    def counted_walk(x, moves):
+        walks.append(0)
+        return walk(x, tuple((f, CountedPairs(v)) for f, v in moves))
+
+    walk = blowup_divisors._walk
+    monkeypatch.setattr(blowup_divisors, "_walk", counted_walk)
+    rng = random.Random(86)
+    for triple, samples in (((2, 2, 3), 40), ((2, 2, 5), 40), ((2, 2, 6), 30),
+                            ((2, 3, 3), 40), ((2, 3, 4), 30), ((2, 3, 5), 12),
+                            ((3, 1, 4), 40), ((4, 1, 3), 40)):
+        ctx = LatticeContext(*triple)
+        rs = simple_roots(ctx)
+        f1 = sum((CurveClass.line(ctx, i) for i in range(2, ctx.a)), CurveClass.line(ctx, 1))
+        f1 = f1 - CurveClass.exceptional_line(ctx, 1)
+        f2 = CurveClass.line(ctx, ctx.a - 1)
+        walls = [g.coords() for g in weyl_orbit_curves(f1, rs) + weyl_orbit_curves(f2, rs)]
+        members = 0
+        walks.clear()
+        for _ in range(samples):
+            d = DivisorClass(ctx, tuple(rng.randint(0, 4) for _ in range(ctx.a - 1)),
+                             tuple(rng.randint(-2, 3) for _ in range(ctx.r)))
+            x = d.coords()
+            oracle = all(sum(a * b for a, b in zip(x, g)) >= 0 for g in walls)
+            assert eff_membership(d).member == oracle, (triple, d)
+            members += oracle
+        assert 0 < members < samples, triple
+        assert walks and max(walks) <= POSITIVE_ROOTS[rs.dynkin_label], triple

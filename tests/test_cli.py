@@ -110,6 +110,24 @@ def test_member_false_is_still_exit_zero(capsys):
     assert payload == {"certificate": None, "member": True}
 
 
+def test_member_answers_for_a_member_under_a_small_cap(capsys):
+    # -K on E7: the chamber walk decides without building an orbit, so a
+    # cap of 1 answers, where scanning the nef orbits needed 56 + 576 nodes
+    payload = run_json(capsys, "member", "--ctx", "2,3,4", "--d", "3",
+                       "--m", "1,1,1,1,1,1,1", "--cap", "1")
+    assert payload == {"certificate": None, "member": True}
+
+
+def test_member_non_member_still_builds_its_orbit_under_the_cap(capsys):
+    # H - 2E_1 on D5 violates the orbit of f1 = l - e_1, which has 10 curves
+    argv = ("member", "--ctx", "2,2,3", "--d", "1", "--m", "2,0,0,0,0")
+    payload = run_json(capsys, *argv, "--cap", "10")
+    assert payload == {"certificate": {"e": [-1, 0, 0, 0, 0], "l": [1]}, "member": False}
+    code, out, err = run(capsys, *argv, "--cap", "9")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == {"cap": 9, "type": "cap", "what": "weyl_orbit_curves"}
+
+
 def test_section_pipeline_verbs(capsys):
     assert run_json(capsys, "h0", "--n", "2", "--r", "5",
                     "--d", "2", "--m", "1,1,1,1,1") == {"h0": 1}
