@@ -41,7 +41,6 @@ from .root_system import (
     _divisor_moves,
     _finite_system,
     _orbit,
-    _sparse,
     _walk,
 )
 
@@ -279,8 +278,8 @@ def _chamber(ctx: LatticeContext) -> tuple:
     # representatives f1+ and f2+ of its nef curves; a pass of the lattice
     # benchmark meets 3 contexts and a CLI call one
     rs = _finite_system(ctx)
-    curve_moves = _sparse(_curve_moves(rs))
-    return (_sparse(_divisor_moves(rs)),
+    curve_moves = _curve_moves(rs)
+    return (_divisor_moves(rs),
             tuple(_walk(_nef_curve(ctx, curve), curve_moves) for curve in ("f1", "f2")))
 
 

@@ -21,8 +21,9 @@ validated once per orbit, and tuples become classes once, after sorting.
 `_walk` takes a tuple into the closed fundamental chamber by the same moves,
 reflecting while some simple root pairs negatively; effective-cone
 membership uses it.  A simple-root move touches 2 to c + 1 coordinates, so
-`_orbit` and `_walk` run on sparse moves (`_sparse`): the nonzero
-(index, value) pairs of f and v, found once per closure.
+`_orbit` and `_walk` take sparse moves: `_sparse` turns each (f, v) into
+the nonzero (index, value) pairs of f and of v, and `_divisor_moves` and
+`_curve_moves` return them in that form.
 
 Root ordering: alpha_i = E_i - E_{i+1} for i < r, alpha_r = H_1 - E_1 -
 ... - E_c, then alpha_{r+j} = H_{j+1} - H_j walking up the remaining
@@ -161,10 +162,10 @@ def _sparse(moves) -> tuple:
 def _orbit(start: tuple, moves, cap: int, what: str) -> list:
     """Sorted breadth-first closure of a coordinate tuple under the moves.
 
-    A move (f, v) sends x to x + (x . f) v and is skipped when x . f = 0.
-    More than `cap` distinct tuples raise CapExceeded(what, cap).
+    The moves are sparse, as `_sparse` gives them.  A move (f, v) sends x
+    to x + (x . f) v and is skipped when x . f = 0.  More than `cap`
+    distinct tuples raise CapExceeded(what, cap).
     """
-    moves = _sparse(moves)
     seen = {start}
     queue = deque([start])
     while queue:
@@ -233,12 +234,12 @@ def _saturate(start: tuple, moves, cap: int, what: str) -> set:
     return seen
 
 
-def _divisor_moves(rs: RootSystemData) -> list:
-    return [(_dual(alpha), alpha.coords()) for alpha in rs.simple_roots]
+def _divisor_moves(rs: RootSystemData) -> tuple:
+    return _sparse((_dual(alpha), alpha.coords()) for alpha in rs.simple_roots)
 
 
-def _curve_moves(rs: RootSystemData) -> list:
-    return [(alpha.coords(), _dual(alpha)) for alpha in rs.simple_roots]
+def _curve_moves(rs: RootSystemData) -> tuple:
+    return _sparse((alpha.coords(), _dual(alpha)) for alpha in rs.simple_roots)
 
 
 def _check_roots(rs: RootSystemData, ctx: LatticeContext, detail: str):
@@ -309,7 +310,7 @@ def weyl_orbit_weights(w, rs: RootSystemData, cap: int | None = None):
     w = _check_coords("weight", w, n)
     cap = effective_cap(cap)
     unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    moves = [(unit[i], tuple(-cartan[j][i] for j in range(n))) for i in range(n)]
+    moves = _sparse((unit[i], tuple(-cartan[j][i] for j in range(n))) for i in range(n))
     return tuple(_orbit(w, moves, cap, "weyl_orbit_weights"))
 
 

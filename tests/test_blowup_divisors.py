@@ -418,8 +418,9 @@ def test_decompose_degree1_cap_boundary(triple, k, nodes):
 
 
 def test_nef_orbits_are_built_one_curve_at_a_time(monkeypatch):
-    # a member builds no orbit; a non-member builds the orbit of the first
-    # nef curve it violates, so f2's only when f1's holds no violator
+    # the degree-one decomposition builds f1's orbit alone; a member builds
+    # no orbit; a non-member builds the orbit of the first nef curve it
+    # violates, so f2's only when f1's holds no violator
     built = []
     orbit = blowup_divisors._orbit
 
@@ -428,10 +429,14 @@ def test_nef_orbits_are_built_one_curve_at_a_time(monkeypatch):
         return orbit(start, moves, cap, what)
 
     monkeypatch.setattr(blowup_divisors, "_orbit", counted)
-    blowup_divisors._nef_orbit.cache_clear()
     ctx = LatticeContext(2, 3, 3)
     f1 = CurveClass.line(ctx) - CurveClass.exceptional_line(ctx, 1)
     f2 = CurveClass.line(ctx)
+    blowup_divisors._nef_orbit.cache_clear()
+    assert decompose_degree1(2 * anticanonical(ctx)) is not None
+    assert built == [f1.coords()]
+    blowup_divisors._nef_orbit.cache_clear()
+    built.clear()
     assert eff_membership(anticanonical(ctx))
     assert eff_membership(DivisorClass.exceptional(ctx, 6))
     assert built == []
@@ -442,7 +447,7 @@ def test_nef_orbits_are_built_one_curve_at_a_time(monkeypatch):
     assert all(intersect(d, g) >= 0 for g in weyl_orbit_curves(f1, simple_roots(ctx)))
     assert not eff_membership(d)
     assert built == [f1.coords(), f2.coords()]
-    assert decompose_degree1(2 * anticanonical(ctx)) is not None
+    assert decompose_degree1(anticanonical(ctx)) is not None
     assert eff_membership(-DivisorClass.exceptional(ctx, 2)).certificate is not None
     assert len(built) == 2
 

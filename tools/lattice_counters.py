@@ -17,8 +17,9 @@ warm-up and for the pass:
                      (a capped closure counts cap + 1).
 
 The counters are module attributes replaced from here; the package holds no
-counting code.  A version of coxforge without a chamber walk reads 0 walks.
-The counts repeat exactly from run to run for a given seed and pass.
+counting code, and tests/test_tools.py runs this script on seed 1, pass 0,
+so a renamed private name fails there.  The counts repeat exactly from run
+to run for a given seed and pass.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ def install(counts: Counts):
     membership = bd.eff_membership
     nef_orbit = bd._nef_orbit
     orbit = rsys._orbit
-    walk = getattr(bd, "_walk", None)
+    walk = bd._walk
 
     def counted_membership(d, cap=None):
         counts.in_membership, counts.scanned = True, False
@@ -100,8 +101,7 @@ def install(counts: Counts):
     bd.eff_membership = counted_membership
     bd._nef_orbit = counted_nef_orbit
     rsys._orbit = bd._orbit = counted_orbit
-    if walk is not None:
-        bd._walk = counted_walk
+    bd._walk = counted_walk
 
 
 def main(argv=None) -> int:
