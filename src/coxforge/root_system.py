@@ -13,17 +13,16 @@ enumeration of all divisor classes of degree one.
 Two closures over coordinate tuples serve every enumeration.  `_orbit`
 closes under moves x -> x + (x . f) v: (dual(alpha), alpha) for divisors,
 where `_dual` applies the Gram form, (alpha, dual(alpha)) for curves and
-(e_i, minus Cartan column i) for weights.  `_saturate` closes under root
-strings x -> x + v, .., x + x[i] v for x[i] > 0: (i, minus Cartan column i)
-for the weights of a module, and the same moves with alpha_i appended for
-the degree-one classes, which carry their weight in front.  Roots are
+the weight moves (e_i, minus Cartan column i).  `_saturate` closes under
+root strings x -> x + v, .., x + (x . f) v for x . f > 0: the weight moves
+for the weights of a module, and the same with alpha_i appended for the
+degree-one classes, which carry their weight in front.  Roots are
 validated once per orbit, and tuples become classes once, after sorting.
 `_walk` takes a tuple into the closed fundamental chamber by the same moves,
 reflecting while some simple root pairs negatively; effective-cone
 membership uses it.  A simple-root move touches 2 to c + 1 coordinates, so
-`_orbit` and `_walk` take sparse moves: `_sparse` turns each (f, v) into
-the nonzero (index, value) pairs of f and of v, and `_divisor_moves` and
-`_curve_moves` return them in that form.
+all three take sparse moves: `_sparse` turns each (f, v) into the nonzero
+(index, value) pairs of f and of v, the form every `_*_moves` returns.
 
 Root ordering: alpha_i = E_i - E_{i+1} for i < r, alpha_r = H_1 - E_1 -
 ... - E_c, then alpha_{r+j} = H_{j+1} - H_j walking up the remaining
@@ -38,7 +37,6 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
 
 from .budget import effective_cap
 from .errors import CapExceeded, PreconditionError
@@ -215,22 +213,28 @@ def _walk(x: tuple, moves) -> tuple:
 def _saturate(start: tuple, moves, cap: int, what: str) -> set:
     """Breadth-first string closure of a coordinate tuple under the moves.
 
-    A move (i, v) sends x to x + v, .., x + x[i] v when x[i] > 0.  More than
-    `cap` distinct tuples raise CapExceeded(what, cap).
+    A sparse move (f, v) sends x to x + v, .., x + (x . f) v when x . f > 0.
+    More than `cap` distinct tuples raise CapExceeded(what, cap).
     """
     seen = {start}
     queue = deque([start])
     while queue:
         x = queue.popleft()
-        for i, v in moves:
-            y = x
-            for _ in range(x[i]):
-                y = tuple(map(add, y, v))
-                if y not in seen:
-                    seen.add(y)
-                    if len(seen) > cap:
-                        raise CapExceeded(what, cap)
-                    queue.append(y)
+        for f, v in moves:
+            k = 0
+            for i, c in f:
+                k += x[i] * c
+            if k > 0:
+                y = list(x)
+                for _ in range(k):
+                    for i, c in v:
+                        y[i] += c
+                    t = tuple(y)
+                    if t not in seen:
+                        seen.add(t)
+                        if len(seen) > cap:
+                            raise CapExceeded(what, cap)
+                        queue.append(t)
     return seen
 
 
@@ -240,6 +244,11 @@ def _divisor_moves(rs: RootSystemData) -> tuple:
 
 def _curve_moves(rs: RootSystemData) -> tuple:
     return _sparse((alpha.coords(), _dual(alpha)) for alpha in rs.simple_roots)
+
+
+def _weight_moves(rs: RootSystemData) -> tuple:
+    return _sparse(((0,) * i + (1,), tuple(-row[i] for row in rs.cartan))
+                   for i in range(len(rs.cartan)))
 
 
 def _check_roots(rs: RootSystemData, ctx: LatticeContext, detail: str):
@@ -290,14 +299,11 @@ def weights_of_irrep(lam, rs: RootSystemData, cap: int | None = None):
     For a dominant lam this closure is the full weight set.  Weights are
     coordinate tuples; the result is lexicographically sorted.
     """
-    cartan = rs.cartan
-    n = len(cartan)
-    lam = _check_coords("lambda", lam, n)
+    lam = _check_coords("lambda", lam, len(rs.cartan))
     if any(v < 0 for v in lam):
         raise PreconditionError("lambda", f"highest weight must be dominant, got {lam}")
     cap = effective_cap(cap)
-    moves = [(i, tuple(-cartan[j][i] for j in range(n))) for i in range(n)]
-    return tuple(sorted(_saturate(lam, moves, cap, "weight saturation")))
+    return tuple(sorted(_saturate(lam, _weight_moves(rs), cap, "weight saturation")))
 
 
 def weyl_orbit_weights(w, rs: RootSystemData, cap: int | None = None):
@@ -305,13 +311,9 @@ def weyl_orbit_weights(w, rs: RootSystemData, cap: int | None = None):
 
     The simple reflection acts by s_i(w) = w - w_i alpha_i.
     """
-    cartan = rs.cartan
-    n = len(cartan)
-    w = _check_coords("weight", w, n)
+    w = _check_coords("weight", w, len(rs.cartan))
     cap = effective_cap(cap)
-    unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    moves = _sparse((unit[i], tuple(-cartan[j][i] for j in range(n))) for i in range(n))
-    return tuple(_orbit(w, moves, cap, "weyl_orbit_weights"))
+    return tuple(_orbit(w, _weight_moves(rs), cap, "weyl_orbit_weights"))
 
 
 def _top_weight(ctx: LatticeContext) -> tuple:
@@ -345,8 +347,8 @@ def _degree_one_coords(ctx: LatticeContext, cap: int) -> tuple:
     rs = _finite_system(ctx)
     n = len(rs.cartan)
     top = DivisorClass.exceptional(ctx, ctx.r)
-    moves = [(i, tuple(-v for v in rs.cartan[i]) + alpha.coords())
-             for i, alpha in enumerate(rs.simple_roots)]
+    moves = _sparse(((0,) * i + (1,), tuple(-v for v in rs.cartan[i]) + alpha.coords())
+                    for i, alpha in enumerate(rs.simple_roots))
     closure = _saturate(weight_coords(top) + top.coords(), moves, cap, "weight saturation")
     return tuple(sorted(x[n:] for x in closure))
 

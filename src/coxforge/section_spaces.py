@@ -14,15 +14,16 @@ each block once; other points are not kept.  It also keeps the echelon of
 the last section space it was asked about, so `h0`, `form_space` and
 `section_of` on one class eliminate its conditions once: h0 is the width
 less the rank, and the kernel is read off the same echelon.  The
-generation test multiplies the unique sections of the minimal divisors
-and compares the span against the full section space.  There a degree-d
-form is held by its integer values at the principal lattice
-(1, e_1, .., e_n), e in `monomial_exponents(n, d)`, the same index set as
-its coefficients.  The lattice is unisolvent for degree d (Nicolaides 1972;
-Chung and Yao 1977), so evaluation is a bijection on degree-d forms: spans
-keep their ranks, and a product of forms is the pointwise product of their
-values.  The configuration keeps the test's generator list, their integer
-sections and their grid values too; no module-level cache is keyed on one.
+generation test spans the products of the minimal divisors' sections s_g
+state by state, Span(k, m) = sum_g s_g * Span(k - k_g, max(m - m_g, 0)),
+and stops a state at the h0 of kH - sum m_i E_i, which contains it, so no
+skipped product could raise its rank.  A form of degree k <= d is held by
+its integer values at the principal lattice (1, e_1, .., e_n), e in
+`monomial_exponents(n, d)`, unisolvent for degree d (Nicolaides 1972;
+Chung and Yao 1977); so evaluation is injective on such forms, spans keep
+their ranks, and a product of forms is the pointwise product of values.
+The configuration keeps the test's generators, their integer sections and
+grid values too; no module-level cache is keyed on one.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import inf, lcm, perm, prod
-from operator import add, mul
+from operator import mul
 
 from .blowup_divisors import BlowupContext, curve_params, enumerate_minimal, random_params
 from .budget import effective_cap
@@ -43,7 +44,7 @@ from .multipoly import MultiPoly, _coerce_coef, _lift
 from .picard_lattice import DivisorClass, LatticeContext, hdeg
 
 GENERATION_MONOMIAL_CAP = 20000
-GENERATION_NODE_CAP = 10 ** 5
+GENERATION_STATE_CAP = 10 ** 5
 
 
 @dataclass(frozen=True)
@@ -56,9 +57,9 @@ class PointConfig:
     keyed by (d, i, order); the echelon of the last section space asked
     about, keyed by (d, mults); and the generation test's generators, their
     integer section terms and their values per degree.  None takes part in
-    equality, hashing, repr or JSON.  For the degrees d asked they hold at
-    most r * sum(d + 1) blocks, one echelon, and one entry per generator and
-    per (degree, generator); all live exactly as long as the configuration.
+    equality, hashing, repr or JSON.  Up to the highest degree asked they
+    hold at most r * sum(d + 1) blocks, one echelon, and one entry per
+    generator and per (degree, generator); all live as long as it does.
 
     >>> PointConfig.default(2, 5).params
     (Fraction(1, 1), Fraction(2, 1), Fraction(3, 1), Fraction(4, 1), Fraction(5, 1))
@@ -333,20 +334,21 @@ def generation_test(d: DivisorClass, cfg: PointConfig,
     """Compare the span of products of minimal-divisor sections with the
     full section space of d.
 
-    Multisets of minimal classes with total H-degree hdeg(d) are walked
-    depth-first; a multiset qualifies when its accumulated multiplicities
-    dominate d's (the surplus is absorbed by exceptional factors, which
-    multiply the class but not the form).  Search stops as soon as the
-    span fills.
+    A product qualifies when its factors' H-degrees sum to hdeg(d) and their
+    multiplicities dominate d's (exceptional factors absorb the surplus).
+    Those of H-degree k over m span Span(k, m) = sum_g s_g * Span(k - k_g,
+    max(m - m_g, 0)), with Span(0, 0) the constants and Span(k, m) = 0 when
+    some m_i > k.  Each state is solved once per call, on the principal
+    lattice of degree hdeg(d), and the cap counts the states.  A state lies
+    in the section space of kH - sum m_i E_i, so at rank h0 it is that whole
+    space and stops, losing nothing; d's h0 comes from `h0`, the others'
+    from eliminations here, which leave cfg's echelon slot on d.
 
-    Each product enters the span as its values on the principal lattice of
-    degree hdeg(d), the pointwise product of its factors' values there (see
-    the module docstring); the rank after every product is the rank its
-    coefficient vectors would give.  cfg lists its generators once, and
-    solves a generator's section and its values per degree the first time a
-    product uses them, keeping all three; so a configuration that answers
-    few tests, as a single CLI call does, solves only the generators their
-    products use.  The size caps are checked before h0 builds any condition.
+    cfg lists its generators once, and solves a generator's section and its
+    values per degree the first time a product uses them, keeping all three;
+    so a configuration that answers few tests, as a single CLI call does,
+    solves only the generators their products use.  The size caps are
+    checked before h0 builds any condition.
     """
     _match(d, cfg)
     if cfg.n > 4:
@@ -354,10 +356,10 @@ def generation_test(d: DivisorClass, cfg: PointConfig,
     deg = hdeg(d)
     if deg < 0:
         return GenerationReport(0, 0, True)
-    cols = monomial_exponents(cfg.n, deg)
-    if len(cols) > GENERATION_MONOMIAL_CAP:
+    width = len(monomial_exponents(cfg.n, deg))
+    if width > GENERATION_MONOMIAL_CAP:
         raise CapExceeded("generation monomial basis", GENERATION_MONOMIAL_CAP)
-    budget = effective_cap(cap, default=GENERATION_NODE_CAP)
+    budget = effective_cap(cap, default=GENERATION_STATE_CAP)
     dim = h0(d, cfg)
     if dim == 0:
         return GenerationReport(0, 0, True)
@@ -365,31 +367,32 @@ def generation_test(d: DivisorClass, cfg: PointConfig,
         object.__setattr__(cfg, "_gens", tuple(sorted(
             ((hdeg(g), g.m, g) for g in enumerate_minimal(cfg.blowup_context())),
             key=lambda t: (-t[0], t[2].sort_key()))))
-    gens = cfg._gens
     values = cfg._values.setdefault(deg, {})
-    span = RowEchelon(len(cols))
-    nodes = 0
+    constants = RowEchelon(width)
+    constants.add([1] * width)
+    memo = {(0, (0,) * cfg.r): constants}
 
-    def dfs(start: int, deg_left: int, cover: tuple, parts: tuple) -> bool:
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise CapExceeded("generation multiset search", budget)
-        if any(c + deg_left < m for c, m in zip(cover, d.m)):
-            return False
-        if deg_left == 0:
-            product = [1] * len(cols)
-            for j in parts:
-                if j not in values:
-                    values[j] = _grid_values(j, cfg, deg)
-                product = map(mul, product, values[j])
-            span.add(list(product))
-            return span.rank == dim
-        for j in range(start, len(gens)):
-            k, mults, _ = gens[j]
-            if k <= deg_left and dfs(j, deg_left - k, tuple(map(add, cover, mults)), parts + (j,)):
-                return True
-        return False
+    def span(k: int, m: tuple) -> RowEchelon:
+        if (k, m) in memo:
+            return memo[k, m]
+        if len(memo) == budget:
+            raise CapExceeded("generation span states", budget)
+        memo[k, m] = ech = RowEchelon(width)
+        cols = len(monomial_exponents(cfg.n, k))
+        full = (dim if k == deg else 0 if max(m) > k
+                else cols - echelon(_condition_rows(k, m, cfg), cols).rank)
+        for j, (kg, mg, _) in enumerate(cfg._gens):
+            if ech.rank == full:
+                break
+            if kg <= k:
+                for _, row in span(k - kg, tuple(max(a - b, 0) for a, b in zip(m, mg))).rows:
+                    if j not in values:
+                        values[j] = _grid_values(j, cfg, deg)
+                    if ech.add(list(map(mul, values[j], row))) and ech.rank == full:
+                        break
+        return ech
 
-    dfs(0, deg, (0,) * cfg.r, ())
-    return GenerationReport(dim, span.rank, span.rank == dim)
+    slot = cfg._echelon
+    rank = span(deg, d.m).rank
+    object.__setattr__(cfg, "_echelon", slot)  # a section solved on the way took it
+    return GenerationReport(dim, rank, rank == dim)

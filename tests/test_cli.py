@@ -140,6 +140,9 @@ def test_section_pipeline_verbs(capsys):
     payload = run_json(capsys, "check-generation", "--n", "2", "--r", "5",
                        "--d", "3", "--m", "1,1,1,1,1")
     assert payload == {"generated": True, "h0": 5, "span_dim": 5}
+    payload = run_json(capsys, "check-generation", "--n", "2", "--r", "9",
+                       "--d", "5", "--m", "1,1,1,1,1,1,1,1,0")
+    assert payload == {"generated": True, "h0": 13, "span_dim": 13}
     payload = run_json(capsys, "h0", "--n", "2", "--r", "5", "--d", "2",
                        "--m", "1,1,1,1,1", "--params", "0,1/2,-1,7/3,4")
     assert payload == {"h0": 1}

@@ -297,12 +297,19 @@ def test_generation_small_cases():
     assert rep.h0 == rep.span_dim == 4
     empty = generation_test(DivisorClass(ctx, (1,), (2, 0, 0, 0, 0)), CFG25)
     assert empty == GenerationReport(0, 0, True)
+    # 5H - E_1 - .. - E_8 on P^2 at 9 points: 666,480 multisets of the 37
+    # generators have H-degree 5 and 18,552 of them qualify, but the span
+    # fills within 22 states
+    cfg = PointConfig.default(2, 9)
+    d = DivisorClass(cfg.lattice_context(), (5,), (1,) * 8 + (0,))
+    assert generation_test(d, cfg, cap=22) == GenerationReport(13, 13, True)
 
 
 def test_generation_caps_and_bounds(monkeypatch):
     ctx = CFG25.lattice_context()
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded) as info:
         generation_test(anticanonical(ctx), CFG25, cap=2)
+    assert (info.value.what, info.value.cap) == ("generation span states", 2)
     cfg58 = PointConfig.default(5, 8)
     with pytest.raises(PreconditionError):
         generation_test(DivisorClass.hyperplane(cfg58.lattice_context()), cfg58)
@@ -472,18 +479,23 @@ def test_generation_test_after_h0_does_not_eliminate_again(monkeypatch):
         dim = h0(d, cfg)
         assert generation_test(d, cfg) == GenerationReport(dim, dim, True)
         assert asked[4, m] == 1
+        # cfg's slot still holds d, so form_space eliminates nothing
+        assert cfg._echelon[0] == (4, m)
+        form_space(d, cfg)
+        assert asked[4, m] == 1
 
 
-# (class, configuration, v): cap = v passes and cap = v - 1 raises; these pin
-# the rank after every product, so a span that fills early or late fails
+# (class, configuration, v): cap = v passes and cap = v - 1 raises; v counts
+# the span states, the constants included, so a state that stops early or
+# late fails
 RAT26 = PointConfig.random(2, 6, 11)
 RAT37 = PointConfig.random(3, 7, 5)
 MINIMAL_PASSING_CAPS = (
-    ((3,), (1, 1, 1, 1, 1), CFG25, 43),
-    ((3,), (2, 2, 1, 1, 1, 0), CFG36, 238),
-    ((2,), (1, 1, 1, 1, 1, 0, 0), PointConfig.default(4, 7), 185),
-    ((4,), (2, 2, 1, 1, 1, 1), RAT26, 226),
-    ((3,), (2, 1, 1, 1, 1, 0, 0), RAT37, 781),
+    ((3,), (1, 1, 1, 1, 1), CFG25, 9),
+    ((3,), (2, 2, 1, 1, 1, 0), CFG36, 39),
+    ((2,), (1, 1, 1, 1, 1, 0, 0), PointConfig.default(4, 7), 21),
+    ((4,), (2, 2, 1, 1, 1, 1), RAT26, 15),
+    ((3,), (2, 1, 1, 1, 1, 0, 0), RAT37, 29),
 )
 
 
