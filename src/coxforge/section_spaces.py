@@ -341,8 +341,8 @@ def generation_test(d: DivisorClass, cfg: PointConfig,
     some m_i > k.  Each state is solved once per call, on the principal
     lattice of degree hdeg(d), and the cap counts the states.  A state lies
     in the section space of kH - sum m_i E_i, so at rank h0 it is that whole
-    space and stops, losing nothing; d's h0 comes from `h0`, the others'
-    from eliminations here, which leave cfg's echelon slot on d.
+    space and stops, losing nothing.  Each state's h0 goes through cfg's
+    echelon slot, which is put back on d after the span, or its cap.
 
     cfg lists its generators once, and solves a generator's section and its
     values per degree the first time a product uses them, keeping all three;
@@ -378,9 +378,7 @@ def generation_test(d: DivisorClass, cfg: PointConfig,
         if len(memo) == budget:
             raise CapExceeded("generation span states", budget)
         memo[k, m] = ech = RowEchelon(width)
-        cols = len(monomial_exponents(cfg.n, k))
-        full = (dim if k == deg else 0 if max(m) > k
-                else cols - echelon(_condition_rows(k, m, cfg), cols).rank)
+        full = 0 if max(m) > k else (e := _section_echelon(k, m, cfg)).width - e.rank
         for j, (kg, mg, _) in enumerate(cfg._gens):
             if ech.rank == full:
                 break
@@ -393,6 +391,8 @@ def generation_test(d: DivisorClass, cfg: PointConfig,
         return ech
 
     slot = cfg._echelon
-    rank = span(deg, d.m).rank
-    object.__setattr__(cfg, "_echelon", slot)  # a section solved on the way took it
+    try:  # a negative m_i adds no condition
+        rank = span(deg, tuple(max(a, 0) for a in d.m)).rank
+    finally:  # the states and the sections solved on the way took the slot
+        object.__setattr__(cfg, "_echelon", slot)
     return GenerationReport(dim, rank, rank == dim)

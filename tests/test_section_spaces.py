@@ -297,6 +297,10 @@ def test_generation_small_cases():
     assert rep.h0 == rep.span_dim == 4
     empty = generation_test(DivisorClass(ctx, (1,), (2, 0, 0, 0, 0)), CFG25)
     assert empty == GenerationReport(0, 0, True)
+    # a negative multiplicity adds no condition: E_1 is spanned by the constants
+    assert generation_test(DivisorClass.exceptional(ctx, 1), CFG25) == GenerationReport(1, 1, True)
+    rep = generation_test(DivisorClass(ctx, (2,), (-1, 1, 1, 0, 0)), CFG25)
+    assert rep == GenerationReport(4, 4, True)
     # 5H - E_1 - .. - E_8 on P^2 at 9 points: 666,480 multisets of the 37
     # generators have H-degree 5 and 18,552 of them qualify, but the span
     # fills within 22 states
@@ -483,6 +487,13 @@ def test_generation_test_after_h0_does_not_eliminate_again(monkeypatch):
         assert cfg._echelon[0] == (4, m)
         form_space(d, cfg)
         assert asked[4, m] == 1
+    # and when the cap stops the span after states and sections took the slot
+    cfg = PointConfig.random(2, 6, 29)
+    d = DivisorClass(cfg.lattice_context(), (4,), (2, 1, 1, 1, 1, 1))
+    h0(d, cfg)
+    with pytest.raises(CapExceeded):
+        generation_test(d, cfg, cap=4)
+    assert cfg._echelon[0] == (4, d.m)
 
 
 # (class, configuration, v): cap = v passes and cap = v - 1 raises; v counts
