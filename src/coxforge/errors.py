@@ -22,9 +22,9 @@ class PreconditionError(CoxforgeError, ValueError):
 
 
 class CapExceeded(CoxforgeError, RuntimeError):
-    """A bounded search or orbit enumeration hit its node cap."""
+    """A bounded search or orbit enumeration hit its cap."""
 
     def __init__(self, what: str, cap: int):
         self.what = what
         self.cap = cap
-        super().__init__(f"{what}: cap of {cap} nodes exhausted")
+        super().__init__(f"{what}: cap of {cap} exhausted")

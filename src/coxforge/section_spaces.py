@@ -13,8 +13,15 @@ lives, so a pass that asks hundreds of classes on one configuration builds
 each block once; other points are not kept.  It also keeps the echelon of
 the last section space it was asked about, so `h0`, `form_space` and
 `section_of` on one class eliminate its conditions once: h0 is the width
-less the rank, and the kernel is read off the same echelon.  The
-generation test spans the products of the minimal divisors' sections s_g
+less the rank, and the kernel is read off the same echelon.  At r = n + 3
+points h0 is invariant under the Weyl group of T_{2,n+1,2}, which acts by
+Cremona transformations, and does not depend on the parameters
+(Brambilla, Dumitrescu and Postinghel, Exp. Math. 2016), so `h0`
+eliminates a class D's chamber representative D+, while `form_space` and
+`section_of` keep D, whose monomial space their kernels live in: `h0(D)`
+then `form_space(D)` eliminates twice when D+ != D, the first time tiny.
+Above n + 3 points the symmetry fails: on P^2 with six points
+h0(2H - sum E_i) = 1, but its reflection has h0 = 0.  The generation test spans the products of the minimal divisors' sections s_g
 state by state, Span(k, m) = sum_g s_g * Span(k - k_g, max(m - m_g, 0)),
 and stops a state at the h0 of kH - sum m_i E_i, which contains it, so no
 skipped product could raise its rank.  A form of degree k <= d is held by
@@ -35,13 +42,14 @@ from itertools import combinations_with_replacement
 from math import inf, lcm, perm, prod
 from operator import mul
 
-from .blowup_divisors import BlowupContext, curve_params, enumerate_minimal, random_params
+from .blowup_divisors import BlowupContext, _chamber, curve_params, enumerate_minimal, random_params
 from .budget import effective_cap
 from .errors import CapExceeded, PreconditionError
 from .jsonutil import encode_fraction
 from .linalg import RowEchelon, echelon
 from .multipoly import MultiPoly, _coerce_coef, _lift
 from .picard_lattice import DivisorClass, LatticeContext, hdeg
+from .root_system import _walk
 
 GENERATION_MONOMIAL_CAP = 20000
 GENERATION_STATE_CAP = 10 ** 5
@@ -55,11 +63,12 @@ class PointConfig:
     A configuration also keeps its points' integer representatives and the
     section layer's memos: the condition blocks `_condition_rows` has built,
     keyed by (d, i, order); the echelon of the last section space asked
-    about, keyed by (d, mults); and the generation test's generators, their
-    integer section terms and their values per degree.  None takes part in
-    equality, hashing, repr or JSON.  Up to the highest degree asked they
-    hold at most r * sum(d + 1) blocks, one echelon, and one entry per
-    generator and per (degree, generator); all live as long as it does.
+    about, keyed by (d, mults clipped at 0); and the generation test's
+    generators, their integer section terms and their values per degree.
+    None takes part in equality, hashing, repr or JSON.  Up to the highest
+    degree asked they hold at most r * sum(d + 1) blocks, one echelon, and
+    one entry per generator and per (degree, generator); all live as long
+    as it does.
 
     >>> PointConfig.default(2, 5).params
     (Fraction(1, 1), Fraction(2, 1), Fraction(3, 1), Fraction(4, 1), Fraction(5, 1))
@@ -172,8 +181,10 @@ def _condition_rows(d: int, mults, cfg: PointConfig) -> list:
 def _section_echelon(deg: int, mults: tuple, cfg: PointConfig) -> RowEchelon:
     """The echelon of the conditions of degree deg and multiplicities
     mults, stopped at full column rank, from cfg's slot, None or one
-    ((deg, mults), echelon) pair: a configuration eliminates again only when
-    asked about another class."""
+    ((deg, mults clipped at 0), echelon) pair: a configuration eliminates
+    again only when asked about another class, and a negative m_i adds no
+    condition."""
+    mults = tuple(max(a, 0) for a in mults)
     key = (deg, mults)
     if cfg._echelon is None or cfg._echelon[0] != key:
         ech = echelon(_condition_rows(deg, mults, cfg), len(monomial_exponents(cfg.n, deg)))
@@ -181,19 +192,41 @@ def _section_echelon(deg: int, mults: tuple, cfg: PointConfig) -> RowEchelon:
     return cfg._echelon[1]
 
 
+def _dim(k: int, mults, cfg: PointConfig) -> int:
+    """h0 of kH - sum m_i E_i over cfg, the one h0 rule.  At r = n + 3 the
+    class first walks to its chamber representative, whose degree is the
+    least on the walk; then the degree-k forms vanishing to an order above
+    k at a point are zero, and otherwise h0 is the width less the rank."""
+    if cfg.r == cfg.n + 3:
+        k, *mults = _walk((k, *mults), _chamber(cfg.lattice_context())[0])
+    if k < 0 or max(mults) > k:
+        return 0
+    ech = _section_echelon(k, mults, cfg)
+    return ech.width - ech.rank
+
+
 def h0(d: DivisorClass, cfg: PointConfig) -> int:
     """Dimension of the section space of d over the configuration.
+
+    At r = n + 3 the Weyl group of T_{2,n+1,2} acts by Cremona
+    transformations and permutations of the points, and h0 is invariant
+    under it and does not depend on the parameters (Brambilla, Dumitrescu
+    and Postinghel, "On the effective cone of P^n blown-up at n + 3 points",
+    Exp. Math. 2016).  So h0(D) = h0(D+), where D+ is the chamber
+    representative that `root_system._walk` reaches on the divisor moves,
+    and only D+ is eliminated; a negative degree answers 0 at once.  This
+    holds only at r = n + 3: on P^2 with six points h0(2H - sum E_i) = 1,
+    but its reflection H - E_4 - E_5 - E_6 has h0 = 0, and above n + 3
+    points D itself is eliminated.  The echelon slot then holds D+, so
+    `h0(D)` followed by `form_space(D)` eliminates twice when D+ != D; the
+    first elimination, D+'s, is the small one.
 
     >>> cfg = PointConfig.default(2, 5)
     >>> h0(DivisorClass(cfg.lattice_context(), (2,), (1, 1, 1, 1, 1)), cfg)
     1
     """
     _match(d, cfg)
-    deg = hdeg(d)
-    if deg < 0:
-        return 0
-    ech = _section_echelon(deg, d.m, cfg)
-    return ech.width - ech.rank
+    return _dim(hdeg(d), d.m, cfg)
 
 
 @dataclass(frozen=True)
@@ -341,8 +374,10 @@ def generation_test(d: DivisorClass, cfg: PointConfig,
     some m_i > k.  Each state is solved once per call, on the principal
     lattice of degree hdeg(d), and the cap counts the states.  A state lies
     in the section space of kH - sum m_i E_i, so at rank h0 it is that whole
-    space and stops, losing nothing.  Each state's h0 goes through cfg's
-    echelon slot, which is put back on d after the span, or its cap.
+    space and stops, losing nothing.  Each state's h0 is `h0`'s rule, so at
+    r = n + 3 it eliminates only the state's chamber representative, while
+    the rows stay in the state's own space.  It goes through cfg's echelon
+    slot, which is put back after the span, or its cap.
 
     cfg lists its generators once, and solves a generator's section and its
     values per degree the first time a product uses them, keeping all three;
@@ -378,7 +413,7 @@ def generation_test(d: DivisorClass, cfg: PointConfig,
         if len(memo) == budget:
             raise CapExceeded("generation span states", budget)
         memo[k, m] = ech = RowEchelon(width)
-        full = 0 if max(m) > k else (e := _section_echelon(k, m, cfg)).width - e.rank
+        full = _dim(k, m, cfg)
         for j, (kg, mg, _) in enumerate(cfg._gens):
             if ech.rank == full:
                 break
