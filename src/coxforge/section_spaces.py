@@ -21,10 +21,11 @@ eliminates a class D's chamber representative D+, while `form_space` and
 `section_of` keep D, whose monomial space their kernels live in: `h0(D)`
 then `form_space(D)` eliminates twice when D+ != D, the first time tiny.
 Above n + 3 points the symmetry fails: on P^2 with six points
-h0(2H - sum E_i) = 1, but its reflection has h0 = 0.  The generation test spans the products of the minimal divisors' sections s_g
-state by state, Span(k, m) = sum_g s_g * Span(k - k_g, max(m - m_g, 0)),
-and stops a state at the h0 of kH - sum m_i E_i, which contains it, so no
-skipped product could raise its rank.  A form of degree k <= d is held by
+h0(2H - sum E_i) = 1, but its reflection has h0 = 0.  The generation test
+spans the products of the minimal divisors' sections s_g state by state,
+Span(k, m) = sum_g s_g * Span(k - k_g, max(m - m_g, 0)), and stops a state
+at the h0 of kH - sum m_i E_i, which contains it, so no skipped product
+could raise its rank.  A form of degree k <= d is held by
 its integer values at the principal lattice (1, e_1, .., e_n), e in
 `monomial_exponents(n, d)`, unisolvent for degree d (Nicolaides 1972;
 Chung and Yao 1977); so evaluation is injective on such forms, spans keep
@@ -42,7 +43,13 @@ from itertools import combinations_with_replacement
 from math import inf, lcm, perm, prod
 from operator import mul
 
-from .blowup_divisors import BlowupContext, _chamber, curve_params, enumerate_minimal, random_params
+from .blowup_divisors import (
+    BlowupContext,
+    _chamber,
+    curve_params,
+    enumerate_minimal,
+    random_params,
+)
 from .budget import effective_cap
 from .errors import CapExceeded, PreconditionError
 from .jsonutil import encode_fraction

@@ -148,6 +148,16 @@ def test_section_pipeline_verbs(capsys):
     assert payload == {"h0": 1}
 
 
+def test_section_verbs_at_n_plus_3_points_eliminate_the_chamber_representative(capsys):
+    # both classes walk to a class of degree <= 0, so each answers in well
+    # under a second; their own condition matrices take seconds to eliminate
+    assert run_json(capsys, "h0", "--n", "3", "--r", "6",
+                    "--d", "9", "--m", "6,6,6,6,6,6") == {"h0": 0}
+    payload = run_json(capsys, "check-generation", "--n", "2", "--r", "5",
+                       "--d", "30", "--m", "15,15,15,15,15")
+    assert payload == {"generated": True, "h0": 1, "span_dim": 1}
+
+
 def test_invariant_verbs(capsys):
     code, out, _ = run(capsys, "invariant", "build", "-I", "1", "--r", "5",
                        "--format", "table")

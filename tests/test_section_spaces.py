@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from coxforge import section_spaces
 from coxforge.blowup_divisors import enumerate_minimal, mult_lower_bound
 from coxforge.errors import CapExceeded, PreconditionError
-from coxforge.linalg import RowEchelon, rank
+from coxforge.linalg import RowEchelon, echelon, rank
 from coxforge.multipoly import MultiPoly
 from coxforge.nagata_invariants import NagataParams
 from coxforge.picard_lattice import DivisorClass, anticanonical, hdeg
@@ -314,6 +314,7 @@ def test_generation_caps_and_bounds(monkeypatch):
     with pytest.raises(CapExceeded) as info:
         generation_test(anticanonical(ctx), CFG25, cap=2)
     assert (info.value.what, info.value.cap) == ("generation span states", 2)
+    assert str(info.value) == "generation span states: cap of 2 exhausted"
     cfg58 = PointConfig.default(5, 8)
     with pytest.raises(PreconditionError):
         generation_test(DivisorClass.hyperplane(cfg58.lattice_context()), cfg58)
@@ -433,7 +434,9 @@ def _count_conditions(monkeypatch) -> Counter:
 
 
 def test_h0_form_space_and_section_of_share_one_elimination(monkeypatch):
-    twin = PointConfig.random(2, 5, 3)
+    # at r = n + 4 h0 eliminates the class itself: the conic through six
+    # points of the curve, h0 = 1
+    twin = PointConfig.random(2, 6, 3)
     want = section_of(conic_class(twin), twin)
     asked = _count_conditions(monkeypatch)
     echelons = Counter()
@@ -444,14 +447,29 @@ def test_h0_form_space_and_section_of_share_one_elimination(monkeypatch):
         return add(ech, row)
 
     monkeypatch.setattr(RowEchelon, "add", counted_add)
-    cfg = PointConfig.random(2, 5, 3)
+    cfg = PointConfig.random(2, 6, 3)
     conic = conic_class(cfg)
     assert h0(conic, cfg) == 1
     rows_added = sum(echelons.values())
     assert len(form_space(conic, cfg).kernel) == 1
     assert section_of(conic, cfg) == want
-    assert asked == Counter({(2, (1,) * 5): 1})
+    assert asked == Counter({(2, (1,) * 6): 1})
     assert len(echelons) == 1 and sum(echelons.values()) == rows_added
+
+
+def test_h0_at_n_plus_3_points_eliminates_the_chamber_representative(monkeypatch):
+    # the conic through five points walks to the degree-0 class; form_space
+    # and section_of eliminate the conic itself, once between them
+    twin = PointConfig.random(2, 5, 3)
+    want = section_of(conic_class(twin), twin)
+    asked = _count_conditions(monkeypatch)
+    cfg = PointConfig.random(2, 5, 3)
+    conic = conic_class(cfg)
+    assert h0(conic, cfg) == 1
+    assert asked == Counter({(0, (0,) * 5): 1})
+    assert len(form_space(conic, cfg).kernel) == 1
+    assert section_of(conic, cfg) == want
+    assert asked == Counter({(0, (0,) * 5): 1, (2, (1,) * 5): 1})
 
 
 def test_interleaved_classes_answer_as_on_a_fresh_configuration():
@@ -669,22 +687,101 @@ def classes_at_r_n_plus_3(draw):
     return n, d, tuple(m)
 
 
+def direct_h0(d, cfg):
+    """h0 by eliminating d's own conditions, bypassing the walk of `h0`."""
+    deg = hdeg(d)
+    if deg < 0:
+        return 0
+    width = len(monomial_exponents(cfg.n, deg))
+    rows = section_spaces._condition_rows(deg, tuple(max(a, 0) for a in d.m), cfg)
+    return width - echelon(rows, width).rank
+
+
 @settings(max_examples=200, deadline=None)
 @given(classes_at_r_n_plus_3())
 def test_h0_is_invariant_under_simple_reflections(case):
-    """h0(D) = h0(s_alpha D) for r = n + 3 points on the curve.  At r = n + 4
-    the symmetry fails: on P^2 with six points h0(2H - sum E_i) = 1, while
-    the Cremona reflection sends it to H - E_4 - E_5 - E_6, with h0 = 0."""
+    """h0(D) = h0(s_alpha D) for r = n + 3 points on the curve, both sides
+    eliminated directly, since `h0` itself walks D and s_alpha D to the same
+    chamber representative.  At r = n + 4 the symmetry fails: on P^2 with
+    six points h0(2H - sum E_i) = 1, while the Cremona reflection sends it
+    to H - E_4 - E_5 - E_6, with h0 = 0."""
     n, d, m = case
     cfg, default = WEYL_CONFIGS[n]
     ctx = cfg.lattice_context()
     cls = DivisorClass(ctx, (d,), m)
-    dim = h0(cls, cfg)
-    assert h0(cls, default) == dim
+    dim = direct_h0(cls, cfg)
+    assert h0(cls, cfg) == dim
+    assert direct_h0(cls, default) == dim
     for alpha in simple_roots(ctx).simple_roots:
         image = reflect(alpha, cls)
         if hdeg(image) <= d + 2:
-            assert h0(image, cfg) == dim, (cls, alpha)
+            assert direct_h0(image, cfg) == dim, (cls, alpha)
+
+
+def test_h0_at_n_plus_3_points_matches_direct_elimination():
+    rng = random.Random(41)
+    for n, dmax in ((2, 5), (3, 4), (4, 3)):
+        cfg = WEYL_CONFIGS[n][0]
+        ctx = cfg.lattice_context()
+        for _ in range(150):
+            d = rng.randint(0, dmax)
+            cls = DivisorClass(ctx, (d,), tuple(rng.randint(-1, d) for _ in range(n + 3)))
+            assert h0(cls, cfg) == direct_h0(cls, cfg), cls
+
+
+def test_h0_of_large_classes_at_n_plus_3_points():
+    # the walk takes 20H - 10 sum E to degree 0 and 9H - 6 sum E on P^3 to
+    # degree -9; 16H - (9,7,6,5,3).E walks to 9H - (4,2,2,1,0).E
+    cfg2, cfg3 = PointConfig.default(2, 5), PointConfig.default(3, 6)
+    assert h0(DivisorClass(cfg2.lattice_context(), (20,), (10,) * 5), cfg2) == 1
+    assert h0(DivisorClass(cfg3.lattice_context(), (9,), (6,) * 6), cfg3) == 0
+    d = DivisorClass(cfg2.lattice_context(), (16,), (9, 7, 6, 5, 3))
+    assert h0(d, cfg2) == direct_h0(d, cfg2) == 38
+
+
+def cremona_chamber(n, d, m):
+    """The chamber representative of dH - sum m_i E_i at n + 3 points, by
+    hand: sort m descending, and apply the standard Cremona transformation
+    at the n + 1 largest while it lowers the degree."""
+    m = sorted(m, reverse=True)
+    while (excess := sum(m[:n + 1]) - (n - 1) * d) > 0:
+        d -= excess
+        m = sorted([a - excess for a in m[:n + 1]] + m[n + 1:], reverse=True)
+    return d, m
+
+
+def linear_expected_dim(n, d, m):
+    """The linear expected dimension of Brambilla, Dumitrescu and
+    Postinghel ("On a notion of speciality of linear systems in P^n",
+    Trans. AMS 2015): the sum over I with |I| <= n of (-1)^|I|
+    C(n + k_I - |I|, n), k_I = sum_I m_i - (|I| - 1) d, over the terms with
+    k_I >= |I| and I = {}, with m clipped to [0, d + 1]."""
+    if d < 0:
+        return 0
+    m = [min(max(a, 0), d + 1) for a in m]
+    total = 0
+    for size in range(n + 1):
+        for index_set in combinations(m, size):
+            k = sum(index_set) - (size - 1) * d
+            if not index_set or k >= size:
+                total += (-1) ** size * comb(n + k - size, n)
+    return total
+
+
+def test_h0_at_n_plus_3_points_is_the_linear_expected_dimension_after_the_walk():
+    """At n + 3 points h0 of a chamber class is its linear expected
+    dimension (Brambilla, Dumitrescu and Postinghel, "On the effective cone
+    of P^n blown-up at n + 3 points", Exp. Math. 2016): an oracle that
+    shares nothing with the condition matrices."""
+    rng = random.Random(43)
+    for n, dmax in ((2, 6), (3, 4), (4, 3)):
+        cfg = WEYL_CONFIGS[n][0]
+        ctx = cfg.lattice_context()
+        for _ in range(200):
+            d = rng.randint(0, dmax)
+            m = tuple(rng.randint(-1, d + 1) for _ in range(n + 3))
+            want = linear_expected_dim(n, *cremona_chamber(n, d, m))
+            assert h0(DivisorClass(ctx, (d,), m), cfg) == want, (n, d, m)
 
 
 def test_form_and_point_errors_keep_their_field_and_detail():

@@ -9,16 +9,32 @@ import sys
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_lattice_counters_seed_1_pass_0():
-    # the counts BENCH_16.json records for the lattice workload, seed 1, pass 0
+def run_tool(script: str) -> dict:
+    """The JSON report of a counter script on seed 1, pass 0."""
     env = dict(os.environ, PYTHONHASHSEED="0")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "lattice_counters.py"),
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / script),
                            "--seed", "1", "--pass", "0"],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_lattice_counters_seed_1_pass_0():
+    # the counts BENCH_16.json records for the lattice workload, seed 1, pass 0
+    report = run_tool("lattice_counters.py")
     assert report["pass"] == {"membership_calls": 920, "members": 767, "walks": 920,
                               "walk_reflections": 8837, "scan_fallbacks": 153,
                               "curves_scanned": 1759, "orbit_nodes": 6278}
     assert report["warm_up"]["orbit_nodes"] == 0
+
+
+def test_section_counters_seed_1_pass_0():
+    # the counts BENCH_19.json records for the generation workload, seed 1,
+    # pass 0; without the walk that pass made 1,551 eliminations over
+    # 153,289 condition cells
+    report = run_tool("section_counters.py")
+    assert report["pass"] == {"eliminations": 930, "condition_cells": 62292, "walks": 2300,
+                              "walk_reflections": 19116, "dims": 3282,
+                              "dims_without_elimination": 2434, "span_states": 2444}
+    assert report["warm_up"]["eliminations"] == 81
