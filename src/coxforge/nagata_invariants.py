@@ -13,10 +13,11 @@ V the Vandermonde product prod_{u<v} (a_v - a_u) and eps(S) =
 (-1)^(sum of the 0-based positions of S in I + k(k+1)/2).  Invariance is
 decided by the two commuting locally nilpotent derivations
 D_1 = sum x_i d/dy_i and D_2 = sum a_i x_i d/dy_i whose exponential is
-the action, with t_1 and t_2 as formal parameters.  The torus grading
-(joint (x_i, y_i)-degrees plus the x/y bidegree) translates
-semiinvariants into divisor classes on the blow-up of P^n at r = n+3
-points.
+the action, with t_1 and t_2 as formal parameters; `is_invariant` applies
+both to p scaled to integer coefficients, on Python ints, in one pass over
+its terms.  The torus grading (joint (x_i, y_i)-degrees plus the x/y
+bidegree, each term graded once) translates semiinvariants into divisor
+classes on the blow-up of P^n at r = n+3 points.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm, prod
+from operator import mul
 
 from .blowup_divisors import curve_params, random_params
 from .budget import effective_cap
@@ -134,8 +136,18 @@ def is_invariant(p: MultiPoly, np: NagataParams) -> bool:
     locally nilpotent.  The t_1 and t_2 coefficients of sigma(p) - p are
     D_1 p and D_2 p, so an invariant has D_1 p = D_2 p = 0; conversely
     then (t_1 D_1 + t_2 D_2) p = 0 and the exponential series over Q
-    fixes p.  Both are computed in one pass over the terms of p; variables
-    other than y_1..y_r (including y_j with j > r) are constants for them.
+    fixes p.  Variables other than y_1..y_r (including y_j with j > r) are
+    constants for them.
+
+    Both are computed on integers, in one pass over the terms of p.  Let s
+    be the lcm of the denominators of p's coefficients and L that of the
+    a_i of p's y variables.  Then s p has integer coefficients and
+    L D_2 = sum_i (L a_i) x_i d/dy_i integer weights, so s D_1 p = D_1(s p)
+    and s L D_2 p = (L D_2)(s p) accumulate Python ints; as s, L > 0,
+    s D_1 p = 0 iff D_1 p = 0 and s L D_2 p = 0 iff D_2 p = 0.  A monomial
+    is keyed by its exponents read as the digits of one integer in a base
+    above every exponent a derivation can reach, so a derived monomial's
+    key is its term's key plus a fixed shift per y_i.
 
     >>> np5 = NagataParams.default(5)
     >>> is_invariant(build_F((1, 2, 3), np5), np5)
@@ -153,19 +165,25 @@ def is_invariant(p: MultiPoly, np: NagataParams) -> bool:
             if x not in variables:
                 variables.append(x)
             slots.append((j, variables.index(x), np.params[ys[name] - 1]))
-    pad = (0,) * (len(variables) - len(p.vars))
+    if not slots:
+        return True
+    terms = list(p.terms.items())  # the one pass over the terms of p
+    s = lcm(*(c.denominator for _, c in terms))
+    scale = lcm(*(a.denominator for _, _, a in slots))
+    # an exponent after one derivation is at most the largest one plus 1
+    base = max(max(e) for e, _ in terms) + 2
+    digits = [base ** j for j in range(len(variables))]
+    shifted = [(j, digits[xj] - digits[j], int(a * scale)) for j, xj, a in slots]
     d1, d2 = {}, {}
-    for exps, coef in p.terms.items():
-        for j, xj, a in slots:
+    for exps, coef in terms:
+        c = coef.numerator * (s // coef.denominator)
+        key = sum(map(mul, exps, digits))
+        for j, shift, a in shifted:
             e = exps[j]
-            if not e:
-                continue
-            key = list(exps + pad)
-            key[j] -= 1
-            key[xj] += 1
-            key = tuple(key)
-            d1[key] = d1.get(key, 0) + e * coef
-            d2[key] = d2.get(key, 0) + e * a * coef
+            if e:
+                ec = e * c
+                d1[key + shift] = d1.get(key + shift, 0) + ec
+                d2[key + shift] = d2.get(key + shift, 0) + a * ec
     return not any(d1.values()) and not any(d2.values())
 
 
@@ -178,33 +196,36 @@ def torus_weight(p: MultiPoly, r: int | None = None):
 
     The weight vector has length r; omitted r defaults to the largest
     index occurring.  Raises when some pair or the bidegree fails to be
-    homogeneous, naming the offender.
+    homogeneous, naming the offender: the lowest such pair first, then the
+    x variables, then the y variables.  Each term is graded once; only the
+    distinct grades are compared.
     """
     if p.is_zero():
         raise PreconditionError("P", "zero polynomial carries no torus weight")
     for v in p.vars:
         if not (v.startswith("x_") or v.startswith("y_")):
             raise PreconditionError("P", f"unexpected variable {v}")
+    index = [_var_index(v) for v in p.vars]
     if r is None:
-        r = max((_var_index(v) for v in p.vars), default=1)
-    xpos = {_var_index(v): j for j, v in enumerate(p.vars) if v.startswith("x_")}
-    ypos = {_var_index(v): j for j, v in enumerate(p.vars) if v.startswith("y_")}
-    if xpos and max(xpos) > r or ypos and max(ypos) > r:
+        r = max(index, default=1)
+    if max(index, default=0) > r:
         raise PreconditionError("r", "variable index exceeds r")
-    weights = []
-    for i in range(1, r + 1):
-        degs = {sum(e[j] for j in (xpos.get(i), ypos.get(i)) if j is not None)
-                for e in p.terms}
-        if len(degs) != 1:
-            raise PreconditionError("P", f"not homogeneous in the pair (x_{i}, y_{i})")
-        weights.append(degs.pop())
-    xdegs = {sum(e[j] for j in xpos.values()) for e in p.terms}
-    ydegs = {sum(e[j] for j in ypos.values()) for e in p.terms}
-    if len(xdegs) != 1:
-        raise PreconditionError("P", "not homogeneous in the x variables")
-    if len(ydegs) != 1:
-        raise PreconditionError("P", "not homogeneous in the y variables")
-    return tuple(weights), xdegs.pop(), ydegs.pop()
+    nx = sum(v.startswith("x_") for v in p.vars)  # x_i sort before y_i
+    pairs = [(j, i - 1) for j, i in enumerate(index) if i > 0]  # x_0 is in no pair
+    grades = set()
+    for exps in p.terms:  # the one pass over the terms of p
+        w = [0] * r
+        for j, i in pairs:
+            w[i] += exps[j]
+        grades.add((tuple(w), sum(exps[:nx]), sum(exps[nx:])))
+    if len(grades) > 1:
+        weights, xdegs, _ = zip(*grades)
+        for i in range(r):
+            if len({w[i] for w in weights}) > 1:
+                raise PreconditionError("P", f"not homogeneous in the pair (x_{i + 1}, y_{i + 1})")
+        raise PreconditionError("P", "not homogeneous in the "
+                                + ("x" if len(set(xdegs)) > 1 else "y") + " variables")
+    return grades.pop()
 
 
 def divisor_class_of(p: MultiPoly, n: int) -> DivisorClass:

@@ -5,8 +5,11 @@ A divisor class d H - sum m_i E_i is realized as the space of degree-d
 forms in z_0..z_n, coefficient vectors over `monomial_exponents(n, d)`,
 vanishing to order at least m_i at the curve points p_i = (1, a_i, .., a_i^n).
 One row builder, `_rows` (the integer partials of the monomials at an
-integer point), yields the conditions of h0, the multiplicity at a point
-and the order along the curve, all exactly.
+integer point, from one table of its powers), yields the conditions of h0.
+One vanishing-order search, `_order`, serves the multiplicity at a point
+and the order along the curve, exactly and with no condition rows: it sums
+each chart partial's terms at the point's powers, or by their weight in the
+curve parameter, and tests the sums for zero.
 A `PointConfig` scales its points to integers once and keeps every block of
 conditions it has built, per (degree, point, order), for as long as it
 lives, so a pass that asks hundreds of classes on one configuration builds
@@ -41,7 +44,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import inf, lcm, perm, prod
-from operator import mul
+from operator import getitem, mul
 
 from .blowup_divisors import (
     BlowupContext,
@@ -113,7 +116,7 @@ class PointConfig:
         return BlowupContext(self.n, self.r)
 
     def lattice_context(self) -> LatticeContext:
-        return self.blowup_context().lattice_context()
+        return _lattice_context(self.n, self.r)
 
     def points(self) -> list:
         return [tuple(a ** j for j in range(self.n + 1)) for a in self.params]
@@ -121,6 +124,12 @@ class PointConfig:
     def to_json(self) -> dict:
         return {"n": self.n, "r": self.r,
                 "params": [encode_fraction(a) for a in self.params]}
+
+
+@lru_cache(maxsize=64)
+def _lattice_context(n: int, r: int) -> LatticeContext:
+    # built and validated once per (n, r): `_dim` and `_match` ask it per call
+    return BlowupContext(n, r).lattice_context()
 
 
 def _match(d: DivisorClass, cfg: PointConfig):
@@ -152,19 +161,25 @@ def _representative(point) -> tuple:
     return tuple(v.numerator * (scale // v.denominator) for v in p), chart
 
 
+def _powers(rep: tuple, d: int) -> list:
+    """The table rep[t] ** e for e = 0..d, one row per coordinate."""
+    return [[x ** e for e in range(d + 1)] for x in rep]
+
+
 def _rows(n: int, d: int, rep: tuple, chart: int, order: int) -> tuple:
     """The one row builder: row beta holds d^beta z^g at the integer point rep
     for every column g of monomial_exponents(n, d), beta over the
     order-`order` partials in the coordinates other than `chart`.  Blocks are
     tuples, as `PointConfig` shares them between calls."""
     others = [t for t in range(n + 1) if t != chart]
+    powers = _powers(rep, d)
     rows = []
     for beta in monomial_exponents(n - 1, order):
         row = []
         for g in monomial_exponents(n, d):
-            v = rep[chart] ** g[chart]
+            v = powers[chart][g[chart]]
             for t, b in zip(others, beta):
-                v *= perm(g[t], b) * rep[t] ** (g[t] - b) if g[t] >= b else 0
+                v *= perm(g[t], b) * powers[t][g[t] - b] if g[t] >= b else 0
             row.append(v)
         rows.append(tuple(row))
     return tuple(rows)
@@ -303,46 +318,69 @@ def section_of(d: DivisorClass, cfg: PointConfig) -> MultiPoly:
     return form_from_vector(cfg.n, hdeg(d), section_vector(d, cfg))
 
 
-def _order(n: int, deg: int, vec, reps) -> int:
-    """The least order of a partial of the degree-deg form `vec` that is
-    nonzero at an integer point (P, c) of `reps`, asking at order o only the
-    first (deg - o) n + 1 of them (a single point is its own prefix).  The
-    partials are homogeneous, so the representative does not matter."""
+def _order(n: int, deg: int, vec, chart: int, grade) -> int:
+    """The least order o of a partial d^beta of the degree-deg form `vec`,
+    beta over the order-o partials in the coordinates other than `chart`,
+    that is not zero.  d^beta z^g = c(g, beta) z^(g - beta) with
+    c(g, beta) = prod_t perm(g_t, beta_t); `grade(e)` is (key, value) for
+    the monomial z^e, and the partial is zero when, for every key, the sum
+    of c(g, beta) v_g value over the columns g of that key is zero."""
+    terms = [(g, v) for g, v in zip(monomial_exponents(n, deg), vec) if v]
+    others = [t for t in range(n + 1) if t != chart]
     for order in range(deg + 1):
-        if any(sum(a * c for a, c in zip(row, vec) if c)
-               for rep, chart in reps[:(deg - order) * n + 1]
-               for row in _rows(n, deg, rep, chart, order)):
-            return order
+        for beta in monomial_exponents(n - 1, order):
+            sums = {}
+            for g, v in terms:
+                e = list(g)
+                for t, b in zip(others, beta):
+                    if e[t] < b:
+                        break
+                    v *= perm(e[t], b)
+                    e[t] -= b
+                else:
+                    key, value = grade(e)
+                    sums[key] = sums.get(key, 0) + v * value
+            if any(sums.values()):
+                return order
 
 
 def mult_at_point(f: MultiPoly, p):
     """Smallest total order of a nonvanishing derivative of f at p; the
     zero form returns the +infinity sentinel.  In the chart of p's first
     nonzero coordinate a nonzero form of degree d is a nonzero polynomial
-    of degree <= d, so some order <= d qualifies."""
+    of degree <= d, so some order <= d qualifies.  Each chart partial is
+    summed at p's integer representative P, whose powers come from one
+    table per call; the partials are homogeneous, so the representative
+    does not matter."""
     if f.is_zero():
         return inf
     n = len(p) - 1
     deg, vec = _form_vector(f, n)
-    return _order(n, deg, vec, [_representative(p)])
+    rep, chart = _representative(p)
+    powers = _powers(rep, deg)
+    return _order(n, deg, vec, chart, lambda e: (0, prod(map(getitem, powers, e))))
 
 
-def mult_along_curve(f: MultiPoly, cfg: PointConfig) -> int:
+def mult_along_curve(f: MultiPoly, cfg: PointConfig):
     """Largest m such that all partials of f of order < m vanish on the
-    whole curve s -> (1, s, .., s^n).
+    whole curve s -> (1, s, .., s^n); the zero form returns the +infinity
+    sentinel, as `mult_at_point` does.
 
-    An order-o partial of a degree-d form restricts to the curve as a
-    polynomial in s of degree <= (d - o) n, so it vanishes identically once
-    it vanishes at s = 0..(d - o) n, at most dn + 1 parameters: `_order`
-    asks that prefix of the curve points, which shrinks as o grows.  There
-    z_0 = 1, and Euler's relation z_0 d_0 g = deg(g) g - sum_{t>0} z_t d_t g
-    makes the chart partials of `_rows` vanish to a given order exactly
-    when all homogeneous partials do.  Exact arithmetic needs no fallback.
+    An order-o chart partial d^beta f, beta in z_1..z_n, restricts to the
+    curve as sum_g c(g, beta) v_g s^w(g - beta), with w(e) = sum_t t e_t
+    and c(g, beta) = prod_t perm(g_t, beta_t).  It vanishes identically
+    exactly when the coefficients summed by weight all vanish, so `_order`
+    sums them by weight before testing them for zero, and samples no
+    points.  On the curve z_0 = 1, and Euler's relation
+    z_0 d_0 g = deg(g) g - sum_{t>0} z_t d_t g makes the chart partials
+    vanish to a given order exactly when all homogeneous partials do.
+    Exact arithmetic needs no fallback.
     """
+    if f.is_zero():
+        return inf
     n = cfg.n
     deg, vec = _form_vector(f, n)
-    return _order(n, deg, vec, [(tuple(s ** j for j in range(n + 1)), 0)
-                                for s in range(deg * n + 1)])
+    return _order(n, deg, vec, 0, lambda e: (sum(map(mul, e, range(n + 1))), 1))
 
 
 @dataclass(frozen=True)

@@ -803,11 +803,12 @@ def test_form_and_point_errors_keep_their_field_and_detail():
         (mult_at_point, (z0 + z1 ** 2, (0, 0, 0)), ("F", "need a homogeneous form")),
         (mult_at_point, (z0 + z1 ** 2, (1, 0)), ("F", "need a homogeneous form")),
         (mult_along_curve, (z0 + 1, CFG25), ("F", "need a homogeneous form")),
-        (mult_along_curve, (MultiPoly.zero(), CFG36), ("F", "need a nonzero form")),
     )
     for func, args, (field, detail) in cases:
         with pytest.raises(PreconditionError) as err:
             func(*args)
         assert (err.value.field, err.value.detail) == (field, detail)
-    # the zero form has infinite multiplicity everywhere, even at the zero vector
+    # the zero form has infinite multiplicity everywhere, even at the zero
+    # vector, and along the curve
     assert mult_at_point(MultiPoly.zero(), (0, 0, 0)) == inf
+    assert mult_along_curve(MultiPoly.zero(), CFG36) == inf
