@@ -22,6 +22,7 @@ classes on the blow-up of P^n at r = n+3 points.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -169,12 +170,13 @@ def is_invariant(p: MultiPoly, np: NagataParams) -> bool:
         return True
     terms = list(p.terms.items())  # the one pass over the terms of p
     s = lcm(*(c.denominator for _, c in terms))
-    scale = lcm(*(a.denominator for _, _, a in slots))
+    scale = lcm(*(a.denominator for _, _, a in slots))  # L
     # an exponent after one derivation is at most the largest one plus 1
     base = max(max(e) for e, _ in terms) + 2
     digits = [base ** j for j in range(len(variables))]
-    shifted = [(j, digits[xj] - digits[j], int(a * scale)) for j, xj, a in slots]
-    d1, d2 = {}, {}
+    shifted = [(j, digits[xj] - digits[j], a.numerator * (scale // a.denominator))
+               for j, xj, a in slots]
+    d1, d2 = defaultdict(int), defaultdict(int)
     for exps, coef in terms:
         c = coef.numerator * (s // coef.denominator)
         key = sum(map(mul, exps, digits))
@@ -182,8 +184,8 @@ def is_invariant(p: MultiPoly, np: NagataParams) -> bool:
             e = exps[j]
             if e:
                 ec = e * c
-                d1[key + shift] = d1.get(key + shift, 0) + ec
-                d2[key + shift] = d2.get(key + shift, 0) + a * ec
+                d1[key + shift] += ec
+                d2[key + shift] += a * ec
     return not any(d1.values()) and not any(d2.values())
 
 

@@ -243,6 +243,55 @@ def test_invariance_matches_the_substitution(case):
         assert verdict
 
 
+# different denominators, a zero and a negative parameter
+MIXED = NagataParams(5, (Fraction(-1, 2), 0, Fraction(2, 3), Fraction(5, 7), 3))
+
+
+def moved_by(p, np):
+    """The formal parameters that occur in sigma(p) - p."""
+    return set((nagata_substitute(p, np) - p).vars) & {"t_1", "t_2"}
+
+
+def test_invariance_on_integers_matches_the_substitution():
+    var = MultiPoly.variable
+    dets = [build_F(idx, MIXED) for idx in odd_sets(5)]
+    # the terms of a determinant carry different denominators
+    assert any(len({c.denominator for c in f.terms.values()}) > 1 for f in dets)
+    cases = []
+    for f in dets:
+        cases += [(f, set()), (Fraction(3, 4) * f + Fraction(-2, 5) * dets[-1], set()),
+                  (f + Fraction(1, 6) * var("y_1"), {"t_1", "t_2"})]
+    for j, k in combinations(range(1, 6), 2):
+        aj, ak = MIXED.params[j - 1], MIXED.params[k - 1]
+        x_j, x_k, y_j, y_k = var(f"x_{j}"), var(f"x_{k}"), var(f"y_{j}"), var(f"y_{k}")
+        # D_2 kills a_k x_k y_j - a_j x_j y_k and D_1 does not; D_1 kills
+        # x_k y_j - x_j y_k and D_2 does not
+        cases += [(ak * x_k * y_j - aj * x_j * y_k, {"t_1"}),
+                  (x_k * y_j - x_j * y_k, {"t_2"}),
+                  (Fraction(5, 7) * (x_k * y_j - x_j * y_k) + Fraction(1, 3) * dets[j], {"t_2"})]
+    # D_1 and D_2 send the y-terms to x_1^2 x_2, x_2^2 and x_3, whose
+    # exponents over (x_1, x_2, x_3, ..) read alike as base-2 digits, with
+    # coefficients that sum to 0 against both 1 and a_i
+    cases.append((4 * var("x_1") * var("x_2") * var("y_1") - 7 * var("x_2") * var("y_2")
+                  + 3 * var("y_3") + var("x_3"), {"t_1", "t_2"}))
+    for p, moved in cases:
+        assert moved_by(p, MIXED) == moved, str(p)
+        assert is_invariant(p, MIXED) == (not moved), str(p)
+
+
+def test_torus_weight_names_the_lowest_pair_before_the_bidegree():
+    # the second term breaks only the x-degree, the third only pair 2
+    terms = {(1, 1, 0, 0): 1, (0, 1, 1, 0): 1, (1, 0, 0, 2): 1}
+    p = MultiPoly(("x_1", "x_2", "y_1", "y_2"), terms)
+    assert list(p.terms) == list(terms)
+    with pytest.raises(PreconditionError) as err:
+        torus_weight(p)
+    assert (err.value.field, err.value.detail) == ("P", "not homogeneous in the pair (x_2, y_2)")
+    with pytest.raises(PreconditionError) as err:
+        torus_weight(MultiPoly(p.vars, dict(list(terms.items())[:2])), 2)
+    assert (err.value.field, err.value.detail) == ("P", "not homogeneous in the x variables")
+
+
 def test_torus_weight_values():
     f = build_F((3, 4, 5), NP5)
     assert torus_weight(f, 5) == ((0, 0, 1, 1, 1), 2, 1)

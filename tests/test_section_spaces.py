@@ -25,6 +25,7 @@ from coxforge.root_system import reflect, simple_roots
 from coxforge.section_spaces import (
     GenerationReport,
     PointConfig,
+    form_from_vector,
     form_space,
     generation_test,
     h0,
@@ -242,12 +243,96 @@ def test_mult_at_point_basics():
 
 def test_mult_along_curve_values():
     conic = section_of(conic_class(CFG25), CFG25)
+    # z_0 z_2 and z_1^2 both have weight 2 on s -> (1, s, s^2) and cancel
+    # there; the first partials do not
+    assert str(conic) == "z_0*z_2 - z_1^2"
     assert mult_along_curve(conic, CFG25) == 1
+    # its fourth power, as in the benchmark's d = 8 class
+    assert mult_along_curve(conic ** 4, CFG25) == 4
+    assert [mult_at_point(conic ** 4, p) for p in CFG25.points()] == [4] * 5
     line = section_of(DivisorClass(CFG25.lattice_context(), (1,), (1, 1, 0, 0, 0)), CFG25)
     assert mult_along_curve(line, CFG25) == 0
     # z_0 z_2 - z_1^2 is one of the quadrics through the degree-3 curve
     q = MultiPoly.variable("z_0") * MultiPoly.variable("z_2") - MultiPoly.variable("z_1") ** 2
     assert mult_along_curve(q, CFG36) == 1
+
+
+def sampled_order(n, deg, vec, reps):
+    """The least order o at which a row of `_rows` at one of the first
+    (deg - o) n + 1 integer points of `reps` is not orthogonal to vec (a
+    single point is its own prefix).  An order-o partial restricts to the
+    curve as a polynomial in s of degree <= (deg - o) n, so that many curve
+    points decide it.  The package searched this way before it summed the
+    partials' terms; kept as a test-only oracle."""
+    for order in range(deg + 1):
+        if any(sum(a * c for a, c in zip(row, vec) if c)
+               for rep, chart in reps[:(deg - order) * n + 1]
+               for row in section_spaces._rows(n, deg, rep, chart, order)):
+            return order
+
+
+def sampled_mult_at_point(f, p):
+    n = len(p) - 1
+    deg, vec = section_spaces._form_vector(f, n)
+    return sampled_order(n, deg, vec, [section_spaces._representative(p)])
+
+
+def sampled_mult_along_curve(f, n):
+    deg, vec = section_spaces._form_vector(f, n)
+    return sampled_order(n, deg, vec, [(tuple(s ** j for j in range(n + 1)), 0)
+                                       for s in range(deg * n + 1)])
+
+
+def assert_multiplicities_match_sampling(f, cfg, points):
+    for p in points:
+        assert mult_at_point(f, p) == sampled_mult_at_point(f, p), (str(f), p)
+    assert mult_along_curve(f, cfg) == sampled_mult_along_curve(f, cfg.n), str(f)
+
+
+def test_multiplicities_match_sampling_on_seeded_forms():
+    # forms of degree <= 8 on P^2 (<= 5 on P^3): a sparse random form times
+    # powers of the conic z_0 z_2 - z_1^2 and of lines a_i z_0 - z_1 through
+    # curve points, so orders up to 4 occur at the points and along the curve
+    rng = random.Random(20)
+    for n, dmax, cfg in ((2, 8, PointConfig.random(2, 5, 8)), (3, 5, PointConfig.random(3, 6, 8))):
+        zs = [MultiPoly.variable(f"z_{t}") for t in range(n + 1)]
+        conic = zs[0] * zs[2] - zs[1] ** 2
+        points = cfg.points() + [(0, 1) + (Fraction(-2, 3),) * (n - 1), (1, 1, 2, 3)[:n + 1]]
+        # the conic's monomials share a weight on the curve and cancel there
+        for f in (conic, conic ** 4):
+            assert_multiplicities_match_sampling(f, cfg, points)
+        orders = Counter()
+        for _ in range(40):
+            d = rng.randint(0, dmax)
+            b = rng.randint(0, d // 2)
+            c = rng.randint(0, d - 2 * b)
+            a = rng.choice(cfg.params)
+            monos = monomial_exponents(n, d - 2 * b - c)
+            rest = MultiPoly(tuple(f"z_{t}" for t in range(n + 1)),
+                             {g: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                              for g in rng.sample(monos, min(3, len(monos)))})
+            f = (rest if rest else MultiPoly.const(1)) * conic ** b * (a * zs[0] - zs[1]) ** c
+            assert_multiplicities_match_sampling(f, cfg, points)
+            orders[mult_along_curve(f, cfg)] += 1
+        assert len(orders) >= 3, orders
+
+
+def test_multiplicities_match_sampling_on_high_degree_sections():
+    # the benchmark's near-square classes: h0 = 1 takes the section, else the
+    # first kernel vector
+    classes = ((2, 5, 5, (3, 3, 2, 2, 1)), (2, 5, 6, (5, 2, 2, 2, 2)),
+               (2, 5, 7, (4, 4, 3, 3, 2)), (2, 5, 8, (4, 4, 4, 4, 4)),
+               (3, 6, 3, (2, 2, 2, 2, 1, 1)), (3, 6, 4, (4, 2, 2, 2, 2, 2)),
+               (3, 6, 5, (3, 3, 3, 3, 3, 2)))
+    cfgs = {(2, 5): PointConfig.random(2, 5, 13), (3, 6): PointConfig.random(3, 6, 13)}
+    for n, r, deg, m in classes:
+        cfg = cfgs[n, r]
+        d = DivisorClass(cfg.lattice_context(), (deg,), m)
+        kernel = form_space(d, cfg).kernel
+        if kernel:
+            f = form_from_vector(n, deg, kernel[0])
+            assert_multiplicities_match_sampling(f, cfg, cfg.points())
+            assert all(mult_at_point(f, p) >= mi for p, mi in zip(cfg.points(), m))
 
 
 def test_section_multiplicity_meets_curve_bound():
