@@ -270,8 +270,8 @@ def test_invariance_on_integers_matches_the_substitution():
                   (x_k * y_j - x_j * y_k, {"t_2"}),
                   (Fraction(5, 7) * (x_k * y_j - x_j * y_k) + Fraction(1, 3) * dets[j], {"t_2"})]
     # D_1 and D_2 send the y-terms to x_1^2 x_2, x_2^2 and x_3, whose
-    # exponents over (x_1, x_2, x_3, ..) read alike as base-2 digits, with
-    # coefficients that sum to 0 against both 1 and a_i
+    # exponents over p's variables (x_1, x_2, x_3, ..) read alike as base-2
+    # digits, with coefficients that sum to 0 against both 1 and a_i
     cases.append((4 * var("x_1") * var("x_2") * var("y_1") - 7 * var("x_2") * var("y_2")
                   + 3 * var("y_3") + var("x_3"), {"t_1", "t_2"}))
     for p, moved in cases:

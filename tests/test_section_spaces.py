@@ -262,8 +262,8 @@ def sampled_order(n, deg, vec, reps):
     (deg - o) n + 1 integer points of `reps` is not orthogonal to vec (a
     single point is its own prefix).  An order-o partial restricts to the
     curve as a polynomial in s of degree <= (deg - o) n, so that many curve
-    points decide it.  The package searched this way before it summed the
-    partials' terms; kept as a test-only oracle."""
+    points decide it.  It evaluates condition rows, not `_order`'s sums of
+    terms, and serves as a test-only oracle."""
     for order in range(deg + 1):
         if any(sum(a * c for a, c in zip(row, vec) if c)
                for rep, chart in reps[:(deg - order) * n + 1]

@@ -45,8 +45,8 @@ def test_invariant_counters_seed_1_pass_0():
     # pass 0: 192 determinant queries on r = 7 and r = 8, and 2 perturbed
     # ones.  `is_invariant` and `torus_weight` walk a determinant's terms
     # twice, once each, and once for I = {i}, whose F_I = x_i has no y to
-    # derive: 2 * 192 - 15 passes, where one pass per pair and two for the
-    # bidegree made r + 3 per query, 2,048 in all
+    # derive: 2 * 192 - 15 passes, where one in `is_invariant`, one per
+    # pair and two for the bidegree made r + 3 per query, 2,048 in all
     report = run_tool("invariant_counters.py")
     assert report["pass"] == {"determinants": 194, "determinant_terms": 1379,
                               "derivation_pairs": 2766, "term_passes": 369}
