@@ -101,8 +101,8 @@ def random_params(r: int, seed: int) -> tuple:
     return tuple(sorted(chosen))
 
 
-def _check_class(d: DivisorClass, bc: BlowupContext):
-    if d.ctx != bc.lattice_context():
+def _check_class(d: DivisorClass, ctx: LatticeContext):
+    if d.ctx != ctx:
         raise PreconditionError("D", "class does not live on this blow-up")
 
 
@@ -140,7 +140,7 @@ def enumerate_minimal(bc: BlowupContext) -> list:
 
 def minimal_parameters(e: DivisorClass, bc: BlowupContext):
     """Recover (k, I) from a minimal divisor; raises if the shape is wrong."""
-    _check_class(e, bc)
+    _check_class(e, bc.lattice_context())
     k = hdeg(e)
     if k < 1:
         raise PreconditionError("E", "not a minimal divisor (H-degree < 1)")
@@ -158,7 +158,7 @@ def project_class(d: DivisorClass, bc: BlowupContext) -> DivisorClass:
     The image is m_1 Hbar - sum_{i>=2} (m_i + m_1 - d) Ebar_i; exceptional
     indices shift down by one in the target context.
     """
-    _check_class(d, bc)
+    _check_class(d, bc.lattice_context())
     if bc.n < 3:
         raise PreconditionError("n", "projection target needs ambient dimension >= 2")
     target = BlowupContext(bc.n - 1, bc.r - 1)
@@ -204,7 +204,7 @@ def classify_minimal_projection(e: DivisorClass, bc: BlowupContext) -> Projectio
 def mult_lower_bound(d: DivisorClass, bc: BlowupContext) -> int:
     """max(ceil((sum m_i - n d) / alpha), 0), the multiplicity every
     effective representative has along the curve."""
-    _check_class(d, bc)
+    _check_class(d, bc.lattice_context())
     excess = sum(d.m) - bc.n * hdeg(d)
     return max(-(-excess // bc.alpha), 0)
 

@@ -43,12 +43,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import inf, lcm, perm, prod
+from math import inf, perm, prod
 from operator import getitem, mul
 
 from .blowup_divisors import (
     BlowupContext,
     _chamber,
+    _check_class,
     curve_params,
     enumerate_minimal,
     random_params,
@@ -56,7 +57,7 @@ from .blowup_divisors import (
 from .budget import effective_cap
 from .errors import CapExceeded, PreconditionError
 from .jsonutil import encode_fraction
-from .linalg import RowEchelon, echelon
+from .linalg import RowEchelon, _integer_row, echelon
 from .multipoly import MultiPoly, _coerce_coef, _lift
 from .picard_lattice import DivisorClass, LatticeContext, hdeg
 from .root_system import _walk
@@ -128,13 +129,8 @@ class PointConfig:
 
 @lru_cache(maxsize=64)
 def _lattice_context(n: int, r: int) -> LatticeContext:
-    # built and validated once per (n, r): `_dim` and `_match` ask it per call
+    # built and validated once per (n, r): `_dim` and `_check_class` ask it per call
     return BlowupContext(n, r).lattice_context()
-
-
-def _match(d: DivisorClass, cfg: PointConfig):
-    if d.ctx != cfg.lattice_context():
-        raise PreconditionError("D", "class does not live on this configuration's blow-up")
 
 
 @lru_cache(maxsize=256)
@@ -157,8 +153,10 @@ def _representative(point) -> tuple:
     chart = next((j for j, v in enumerate(p) if v), None)
     if chart is None:
         raise PreconditionError("p", "point must not be the zero vector")
-    scale = lcm(*(v.denominator for v in p)) * (1 if p[chart] > 0 else -1)
-    return tuple(v.numerator * (scale // v.denominator) for v in p), chart
+    rep = _integer_row(p)
+    if rep[chart] < 0:
+        rep = [-v for v in rep]
+    return tuple(rep), chart
 
 
 def _powers(rep: tuple, d: int) -> list:
@@ -247,7 +245,7 @@ def h0(d: DivisorClass, cfg: PointConfig) -> int:
     >>> h0(DivisorClass(cfg.lattice_context(), (2,), (1, 1, 1, 1, 1)), cfg)
     1
     """
-    _match(d, cfg)
+    _check_class(d, cfg.lattice_context())
     return _dim(hdeg(d), d.m, cfg)
 
 
@@ -261,7 +259,7 @@ class FormSpace:
 
 
 def form_space(d: DivisorClass, cfg: PointConfig) -> FormSpace:
-    _match(d, cfg)
+    _check_class(d, cfg.lattice_context())
     deg = hdeg(d)
     if deg < 0:
         raise PreconditionError("D", f"need H-degree >= 0, got {deg}")
@@ -292,9 +290,7 @@ def _form_vector(f: MultiPoly, n: int) -> tuple:
         raise PreconditionError("F", "need a nonzero form")
     (deg,) = degrees
     coefs = _lift(f, names)
-    scale = lcm(*(c.denominator for c in coefs.values()))
-    return deg, [int(coefs[g] * scale) if g in coefs else 0
-                  for g in monomial_exponents(n, deg)]
+    return deg, _integer_row([coefs.get(g, 0) for g in monomial_exponents(n, deg)])
 
 
 def section_vector(d: DivisorClass, cfg: PointConfig) -> tuple:
@@ -398,10 +394,8 @@ def _grid_values(j: int, cfg: PointConfig, deg: int) -> list:
     see the scale, and integer products are cheaper than Fraction ones."""
     if j not in cfg._terms:
         k, _, g = cfg._gens[j]
-        vec = section_vector(g, cfg)
-        scale = lcm(*(c.denominator for c in vec))
-        cfg._terms[j] = tuple((m[1:], int(c * scale))
-                              for m, c in zip(monomial_exponents(cfg.n, k), vec) if c)
+        vec = _integer_row(section_vector(g, cfg))
+        cfg._terms[j] = tuple((m[1:], c) for m, c in zip(monomial_exponents(cfg.n, k), vec) if c)
     terms = cfg._terms[j]
     return [sum(c * prod(map(pow, e[1:], m)) for m, c in terms)
             for e in monomial_exponents(cfg.n, deg)]
@@ -430,7 +424,7 @@ def generation_test(d: DivisorClass, cfg: PointConfig,
     solves only the generators their products use.  The size caps are
     checked before h0 builds any condition.
     """
-    _match(d, cfg)
+    _check_class(d, cfg.lattice_context())
     if cfg.n > 4:
         raise PreconditionError("n", "generation test capped at ambient dimension 4")
     deg = hdeg(d)

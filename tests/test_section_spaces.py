@@ -445,6 +445,13 @@ def _fill_blocks(cfg):
             form_space(d, cfg)
 
 
+def test_representative_is_integral_and_positive_in_its_chart():
+    # the lcm of the denominators scales the point, then the sign makes the
+    # first nonzero coordinate positive
+    assert section_spaces._representative((Fraction(-1, 2), Fraction(2, 3), 0)) == ((3, -4, 0), 0)
+    assert section_spaces._representative((0, Fraction(-3, 4), Fraction(1, 6))) == ((0, 9, -2), 1)
+
+
 def test_block_memo_matches_point_rows():
     configs = (PointConfig(2, 5, (-3, Fraction(-1, 2), 0, Fraction(2, 3), 5)),
                PointConfig(3, 6, (Fraction(-7, 4), -1, Fraction(1, 3), 2, Fraction(9, 5), 4)),
@@ -889,6 +896,10 @@ def test_form_and_point_errors_keep_their_field_and_detail():
         (mult_at_point, (z0 + z1 ** 2, (1, 0)), ("F", "need a homogeneous form")),
         (mult_along_curve, (z0 + 1, CFG25), ("F", "need a homogeneous form")),
     )
+    # a class from another context
+    foreign = DivisorClass.hyperplane(CFG36.lattice_context())
+    cases += tuple((func, (foreign, CFG25), ("D", "class does not live on this blow-up"))
+                   for func in (h0, form_space, section_of, generation_test))
     for func, args, (field, detail) in cases:
         with pytest.raises(PreconditionError) as err:
             func(*args)

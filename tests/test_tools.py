@@ -1,4 +1,4 @@
-"""Smoke test of the scripts under tools/."""
+"""Smoke test of the counter script under tools/."""
 
 import json
 import os
@@ -9,11 +9,11 @@ import sys
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_tool(script: str) -> dict:
-    """The JSON report of a counter script on seed 1, pass 0."""
+def run_tool(workload: str) -> dict:
+    """The JSON report of tools/counters.py on one workload, seed 1, pass 0."""
     env = dict(os.environ, PYTHONHASHSEED="0")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(ROOT / "tools" / script),
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "counters.py"), workload,
                            "--seed", "1", "--pass", "0"],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -22,22 +22,26 @@ def run_tool(script: str) -> dict:
 
 def test_lattice_counters_seed_1_pass_0():
     # the counts BENCH_16.json records for the lattice workload, seed 1, pass 0
-    report = run_tool("lattice_counters.py")
+    report = run_tool("lattice")
     assert report["pass"] == {"membership_calls": 920, "members": 767, "walks": 920,
                               "walk_reflections": 8837, "scan_fallbacks": 153,
                               "curves_scanned": 1759, "orbit_nodes": 6278}
-    assert report["warm_up"]["orbit_nodes"] == 0
+    assert report["warm_up"] == {"membership_calls": 3, "members": 3, "walks": 9,
+                                 "walk_reflections": 0, "scan_fallbacks": 0,
+                                 "curves_scanned": 0, "orbit_nodes": 0}
 
 
 def test_section_counters_seed_1_pass_0():
     # the counts BENCH_19.json records for the generation workload, seed 1,
     # pass 0; without the walk that pass made 1,551 eliminations over
     # 153,289 condition cells
-    report = run_tool("section_counters.py")
+    report = run_tool("generation")
     assert report["pass"] == {"eliminations": 930, "condition_cells": 62292, "walks": 2300,
                               "walk_reflections": 19116, "dims": 3282,
                               "dims_without_elimination": 2434, "span_states": 2444}
-    assert report["warm_up"]["eliminations"] == 81
+    assert report["warm_up"] == {"eliminations": 81, "condition_cells": 6824, "walks": 132,
+                                 "walk_reflections": 1307, "dims": 187,
+                                 "dims_without_elimination": 145, "span_states": 140}
 
 
 def test_invariant_counters_seed_1_pass_0():
@@ -47,7 +51,7 @@ def test_invariant_counters_seed_1_pass_0():
     # twice, once each, and once for I = {i}, whose F_I = x_i has no y to
     # derive: 2 * 192 - 15 passes, where one in `is_invariant`, one per
     # pair and two for the bidegree made r + 3 per query, 2,048 in all
-    report = run_tool("invariant_counters.py")
+    report = run_tool("invariants")
     assert report["pass"] == {"determinants": 194, "determinant_terms": 1379,
                               "derivation_pairs": 2766, "term_passes": 369}
     assert report["warm_up"] == {"determinants": 10, "determinant_terms": 14,
