@@ -14,25 +14,30 @@ A `PointConfig` scales its points to integers once and keeps every block of
 conditions it has built, per (degree, point, order), for as long as it
 lives, so a pass that asks hundreds of classes on one configuration builds
 each block once; other points are not kept.  It also keeps the echelon of
-the last section space it was asked about, so `h0`, `form_space` and
-`section_of` on one class eliminate its conditions once: h0 is the width
-less the rank, and the kernel is read off the same echelon.  At r = n + 3
-points h0 is invariant under the Weyl group of T_{2,n+1,2}, which acts by
-Cremona transformations, and does not depend on the parameters
-(Brambilla, Dumitrescu and Postinghel, Exp. Math. 2016), so `h0`
-eliminates a class D's chamber representative D+, while `form_space` and
-`section_of` keep D, whose monomial space their kernels live in: `h0(D)`
-then `form_space(D)` eliminates twice when D+ != D, the first time tiny.
-Above n + 3 points the symmetry fails: on P^2 with six points
-h0(2H - sum E_i) = 1, but its reflection has h0 = 0.  The generation test
-spans the products of the minimal divisors' sections s_g state by state,
-Span(k, m) = sum_g s_g * Span(k - k_g, max(m - m_g, 0)), and stops a state
-at the h0 of kH - sum m_i E_i, which contains it, so no skipped product
-could raise its rank.  A form of degree k <= d is held by
-its integer values at the principal lattice (1, e_1, .., e_n), e in
-`monomial_exponents(n, d)`, unisolvent for degree d (Nicolaides 1972;
-Chung and Yao 1977); so evaluation is injective on such forms, spans keep
-their ranks, and a product of forms is the pointwise product of values.
+the last section space it was asked about, so `form_space` and
+`section_of` on one class eliminate its conditions once, and `h0` shares
+that elimination where it eliminates: h0 is the width less the rank, and
+the kernel is read off the same echelon.  On P^2 `h0` builds no condition
+at any number of points: it peels the lines through two points and the
+conic off the class while the class meets them negatively, and answers
+chi of the nef class left (the argument is `_dim`'s).  For n >= 3 at
+r = n + 3 points h0 is invariant under the Weyl group of T_{2,n+1,2},
+which acts by Cremona transformations, and does not depend on the
+parameters (Brambilla, Dumitrescu and Postinghel, Exp. Math. 2016), so
+`h0` eliminates a class D's chamber representative D+, while `form_space`
+and `section_of` keep D, whose monomial space their kernels live in:
+`h0(D)` then `form_space(D)` eliminates twice when D+ != D, the first
+time tiny.  Above n + 3 points the symmetry fails (on P^2 with six points
+h0(2H - sum E_i) = 1, but its reflection has h0 = 0), and for n >= 3
+`h0` eliminates D itself.  The generation test spans the products of the
+minimal divisors' sections s_g state by state, Span(k, m) = sum_g s_g *
+Span(k - k_g, max(m - m_g, 0)), and stops a state at the h0 of
+kH - sum m_i E_i, which contains it, so no skipped product could raise its
+rank.  A form of degree k <= d is held by its integer values at the
+principal lattice (1, e_1, .., e_n), e in `monomial_exponents(n, d)`,
+unisolvent for degree d (Nicolaides 1972; Chung and Yao 1977); so
+evaluation is injective on such forms, spans keep their ranks, and a
+product of forms is the pointwise product of values.
 The configuration keeps the test's generators, their integer sections and
 grid values too; no module-level cache is keyed on one.
 """
@@ -213,10 +218,73 @@ def _section_echelon(deg: int, mults: tuple, cfg: PointConfig) -> RowEchelon:
 
 
 def _dim(k: int, mults, cfg: PointConfig) -> int:
-    """h0 of kH - sum m_i E_i over cfg, the one h0 rule.  At r = n + 3 the
-    class first walks to its chamber representative, whose degree is the
-    least on the walk; then the degree-k forms vanishing to an order above
-    k at a point are zero, and otherwise h0 is the width less the rank."""
+    """h0 of D = kH - sum m_i E_i over cfg, the one h0 rule.
+
+    On P^2 it builds no condition: it peels the fixed curves off D and
+    answers chi of what is left.  The minimal divisors there are the lines
+    L_ij = H - E_i - E_j and the conic C = 2H - sum E_i.
+
+    1. Fixed components.  Three points of a smooth conic are not collinear,
+       so L_ij is the strict transform of a line through p_i and p_j only:
+       irreducible, with L_ij^2 = -1.  C is the strict transform of the
+       conic itself: irreducible, with C^2 = 4 - r < 0, as `BlowupContext`
+       asks r >= 5.  If D.N < 0 for an irreducible curve N with N^2 < 0,
+       N lies in every member of |D|, so h0(D) = h0(D - N).  Hence the
+       rule clips each m_i < 0 to 0 (D.E_i < 0).  With m_1 >= m_2 >= ..,
+       it subtracts L_12 while D.L_12 = k - m_1 - m_2 < 0, and otherwise C
+       while D.C = 2k - sum m_i < 0, clipping the m_i = 0 it makes -1.
+       A copy of L_12 raises D.L_12 by 1, and a clipped copy of C raises
+       D.C by p - 4, p the number of m_i > 0, so one step takes every copy
+       the test allows in a row: t = m_1 + m_2 - k lines, or the fewest
+       conics that make D.C >= 0 or bring some m_i to 0.
+       Two tests answer 0 first.  A nonzero form of degree k vanishes to
+       order at most k at a point, so m_1 > k (or k < 0) gives h0 = 0.
+       The conics through four of the points, no three collinear, form a
+       pencil whose irreducible members cover the plane.  A form of degree
+       k that contains none of them meets each in 2k points, counted with
+       multiplicity (Bezout), so m_1 + m_2 + m_3 + m_4 > 2k gives h0 = 0.
+       Past both tests, m_1 <= k gives t <= m_2 in a line step, and two
+       lines with D.L < 0 share a point.  A line step sets D.L_12 = 0,
+       leaves D.L as it was on the other lines through p_1 or p_2, and
+       leaves it >= 0 on the rest (m_3 + m_4 <= 2k - m_1 - m_2 = k - t).
+       So no line is peeled twice: at most r - 1 line steps.  Once
+       m_1 + m_2 <= k, p <= 4 would give sum m_i <= 2k, so a conic step has
+       p >= 5 and keeps m_1 + m_2 <= k; each one but the last brings some
+       m_i to 0.  So at most 2r steps are taken, at any degree.
+    2. Nef.  What is left pairs >= 0 with every E_i, L_ij and C.  By the
+       paper's theorem their sections generate the Cox ring, so every
+       effective class is a sum of their classes, and D is nef.
+    3. h1 = 0.  Harbourne, "Anticanonical rational surfaces" (Trans. AMS
+       349, 1997), Theorem III.1: on an anticanonical rational surface X, a
+       numerically effective class F with -K_X.F >= 2 has h1(X, F) = 0.
+       Its hypotheses hold: X is P^2 blown up at r distinct points, so a
+       smooth projective rational surface; -K_X = 3H - sum E_i = H + C is
+       effective; D is nef by step 2; and -K_X.D = k + (2k - sum m_i) >= k,
+       which is >= 2 when k >= 2.  By hand for k <= 1: a nef class of degree
+       0 has every m_i = 0, and h0 = 1; one of degree 1 has at most one
+       m_i = 1, and h0 = 3 - sum m_i; both are chi.  And h2(D) =
+       h0(K_X - D) = 0, since K_X - D has H-degree -3 - k < 0.  So
+       h0(D) = chi(D) = (k + 1)(k + 2)/2 - sum m_i(m_i + 1)/2 by
+       Riemann-Roch.
+
+    For n >= 3 at r = n + 3 the class first walks to its chamber
+    representative, whose degree is the least on the walk; then the
+    degree-k forms vanishing to an order above k at a point are zero, and
+    otherwise h0 is the width less the rank."""
+    if cfg.n == 2:
+        m = sorted((max(a, 0) for a in mults), reverse=True)
+        while m[0] <= k and sum(m[:4]) <= 2 * k:
+            if m[0] + m[1] > k:  # D.L_12 < 0
+                t = m[0] + m[1] - k
+                k, m[0], m[1] = k - t, m[0] - t, m[1] - t
+            elif 2 * k < sum(m):  # D.C < 0
+                p = len(m) - m.count(0)
+                t = min(-((2 * k - sum(m)) // (p - 4)), m[p - 1])
+                k, m = k - 2 * t, [max(a - t, 0) for a in m]
+            else:
+                return (k + 1) * (k + 2) // 2 - sum(a * (a + 1) for a in m) // 2
+            m.sort(reverse=True)
+        return 0
     if cfg.r == cfg.n + 3:
         k, *mults = _walk((k, *mults), _chamber(cfg.lattice_context())[0])
     if k < 0 or max(mults) > k:
@@ -228,7 +296,12 @@ def _dim(k: int, mults, cfg: PointConfig) -> int:
 def h0(d: DivisorClass, cfg: PointConfig) -> int:
     """Dimension of the section space of d over the configuration.
 
-    At r = n + 3 the Weyl group of T_{2,n+1,2} acts by Cremona
+    On P^2 nothing is eliminated, at any number of points: the lines
+    through two points and the conic are peeled off d while d meets them
+    negatively, and the nef class left has h0 = chi (`_dim` gives the
+    argument).  It takes at most 2r integer steps, at any degree.
+
+    For n >= 3 at r = n + 3 the Weyl group of T_{2,n+1,2} acts by Cremona
     transformations and permutations of the points, and h0 is invariant
     under it and does not depend on the parameters (Brambilla, Dumitrescu
     and Postinghel, "On the effective cone of P^n blown-up at n + 3 points",
@@ -237,9 +310,9 @@ def h0(d: DivisorClass, cfg: PointConfig) -> int:
     and only D+ is eliminated; a negative degree answers 0 at once.  This
     holds only at r = n + 3: on P^2 with six points h0(2H - sum E_i) = 1,
     but its reflection H - E_4 - E_5 - E_6 has h0 = 0, and above n + 3
-    points D itself is eliminated.  The echelon slot then holds D+, so
-    `h0(D)` followed by `form_space(D)` eliminates twice when D+ != D; the
-    first elimination, D+'s, is the small one.
+    points D itself is eliminated, with no size bound.  The echelon slot
+    then holds D+, so `h0(D)` followed by `form_space(D)` eliminates twice
+    when D+ != D; the first elimination, D+'s, is the small one.
 
     >>> cfg = PointConfig.default(2, 5)
     >>> h0(DivisorClass(cfg.lattice_context(), (2,), (1, 1, 1, 1, 1)), cfg)
@@ -413,10 +486,12 @@ def generation_test(d: DivisorClass, cfg: PointConfig,
     some m_i > k.  Each state is solved once per call, on the principal
     lattice of degree hdeg(d), and the cap counts the states.  A state lies
     in the section space of kH - sum m_i E_i, so at rank h0 it is that whole
-    space and stops, losing nothing.  Each state's h0 is `h0`'s rule, so at
-    r = n + 3 it eliminates only the state's chamber representative, while
-    the rows stay in the state's own space.  It goes through cfg's echelon
-    slot, which is put back after the span, or its cap.
+    space and stops, losing nothing.  Each state's h0 is `h0`'s rule, so on
+    P^2 it is peeled and eliminates nothing, and for n >= 3 at r = n + 3 it
+    eliminates only the state's chamber representative, while the rows
+    stay in the state's own space.  An elimination goes through cfg's
+    echelon slot, which is put back after the span, or its cap; the
+    generators' sections eliminate there too, at every n.
 
     cfg lists its generators once, and solves a generator's section and its
     values per degree the first time a product uses them, keeping all three;

@@ -503,8 +503,9 @@ def test_block_memo_is_invisible_to_equality_hash_repr_and_json():
 
 
 def test_dropped_configuration_is_collected():
-    cfg = PointConfig.random(2, 6, 47)
-    assert generation_test(DivisorClass(cfg.lattice_context(), (3,), (1,) * 6), cfg).generated
+    # on P^3, where h0 eliminates, so every memo and the echelon slot fill
+    cfg = PointConfig.random(3, 7, 47)
+    assert generation_test(DivisorClass(cfg.lattice_context(), (3,), (1,) * 7), cfg).generated
     assert cfg._blocks and cfg._echelon is not None and cfg._gens and cfg._terms and cfg._values
     ref = weakref.ref(cfg)
     del cfg
@@ -525,11 +526,18 @@ def _count_conditions(monkeypatch) -> Counter:
     return asked
 
 
+def cone_class(cfg):
+    """2H - 2E_1 - E_2 - .. - E_r on P^3: the quadric cones with vertex p_1
+    through the other points, h0 = 1 at r = 6 and 7, since projection from
+    p_1 puts those points on one conic."""
+    return DivisorClass(cfg.lattice_context(), (2,), (2,) + (1,) * (cfg.r - 1))
+
+
 def test_h0_form_space_and_section_of_share_one_elimination(monkeypatch):
-    # at r = n + 4 h0 eliminates the class itself: the conic through six
-    # points of the curve, h0 = 1
-    twin = PointConfig.random(2, 6, 3)
-    want = section_of(conic_class(twin), twin)
+    # at r = n + 4 h0 eliminates the class itself (on P^3: on P^2 h0
+    # eliminates nothing): the quadric cone, h0 = 1
+    twin = PointConfig.random(3, 7, 3)
+    want = section_of(cone_class(twin), twin)
     asked = _count_conditions(monkeypatch)
     echelons = Counter()
     add = RowEchelon.add
@@ -539,29 +547,30 @@ def test_h0_form_space_and_section_of_share_one_elimination(monkeypatch):
         return add(ech, row)
 
     monkeypatch.setattr(RowEchelon, "add", counted_add)
-    cfg = PointConfig.random(2, 6, 3)
-    conic = conic_class(cfg)
-    assert h0(conic, cfg) == 1
+    cfg = PointConfig.random(3, 7, 3)
+    cone = cone_class(cfg)
+    assert h0(cone, cfg) == 1
     rows_added = sum(echelons.values())
-    assert len(form_space(conic, cfg).kernel) == 1
-    assert section_of(conic, cfg) == want
-    assert asked == Counter({(2, (1,) * 6): 1})
+    assert len(form_space(cone, cfg).kernel) == 1
+    assert section_of(cone, cfg) == want
+    assert asked == Counter({(2, (2,) + (1,) * 6): 1})
     assert len(echelons) == 1 and sum(echelons.values()) == rows_added
 
 
 def test_h0_at_n_plus_3_points_eliminates_the_chamber_representative(monkeypatch):
-    # the conic through five points walks to the degree-0 class; form_space
-    # and section_of eliminate the conic itself, once between them
-    twin = PointConfig.random(2, 5, 3)
-    want = section_of(conic_class(twin), twin)
+    # the quadric cone at six points of P^3 walks to the degree-0 class
+    # (with m_6 = -1, clipped); form_space and section_of eliminate the
+    # cone itself, once between them
+    twin = PointConfig.random(3, 6, 3)
+    want = section_of(cone_class(twin), twin)
     asked = _count_conditions(monkeypatch)
-    cfg = PointConfig.random(2, 5, 3)
-    conic = conic_class(cfg)
-    assert h0(conic, cfg) == 1
-    assert asked == Counter({(0, (0,) * 5): 1})
-    assert len(form_space(conic, cfg).kernel) == 1
-    assert section_of(conic, cfg) == want
-    assert asked == Counter({(0, (0,) * 5): 1, (2, (1,) * 5): 1})
+    cfg = PointConfig.random(3, 6, 3)
+    cone = cone_class(cfg)
+    assert h0(cone, cfg) == 1
+    assert asked == Counter({(0, (0,) * 6): 1})
+    assert len(form_space(cone, cfg).kernel) == 1
+    assert section_of(cone, cfg) == want
+    assert asked == Counter({(0, (0,) * 6): 1, (2, (2,) + (1,) * 5): 1})
 
 
 def test_interleaved_classes_answer_as_on_a_fresh_configuration():
@@ -585,25 +594,26 @@ def test_interleaved_classes_answer_as_on_a_fresh_configuration():
 
 
 def test_generation_test_after_h0_does_not_eliminate_again(monkeypatch):
+    # on P^3 at r = n + 4, where h0 eliminates the class itself
     asked = _count_conditions(monkeypatch)
-    cfg = PointConfig.random(2, 6, 23)
+    cfg = PointConfig.random(3, 7, 23)
     ctx = cfg.lattice_context()
-    for m in ((2, 1, 1, 1, 1, 1), (2, 2, 1, 1, 1, 0), (1, 1, 1, 1, 1, 1)):
-        d = DivisorClass(ctx, (4,), m)
+    for m in ((2, 1, 1, 1, 1, 1, 1), (2, 2, 1, 1, 1, 1, 0), (1,) * 7):
+        d = DivisorClass(ctx, (3,), m)
         dim = h0(d, cfg)
         assert generation_test(d, cfg) == GenerationReport(dim, dim, True)
-        assert asked[4, m] == 1
+        assert asked[3, m] == 1
         # cfg's slot still holds d, so form_space eliminates nothing
-        assert cfg._echelon[0] == (4, m)
+        assert cfg._echelon[0] == (3, m)
         form_space(d, cfg)
-        assert asked[4, m] == 1
+        assert asked[3, m] == 1
     # and when the cap stops the span after states and sections took the slot
-    cfg = PointConfig.random(2, 6, 29)
-    d = DivisorClass(cfg.lattice_context(), (4,), (2, 1, 1, 1, 1, 1))
+    cfg = PointConfig.random(3, 7, 29)
+    d = DivisorClass(cfg.lattice_context(), (3,), (2, 1, 1, 1, 1, 1, 1))
     h0(d, cfg)
     with pytest.raises(CapExceeded):
         generation_test(d, cfg, cap=4)
-    assert cfg._echelon[0] == (4, d.m)
+    assert cfg._echelon[0] == (3, d.m)
 
 
 # (class, configuration, v): cap = v passes and cap = v - 1 raises; v counts
@@ -822,13 +832,81 @@ def test_h0_at_n_plus_3_points_matches_direct_elimination():
 
 
 def test_h0_of_large_classes_at_n_plus_3_points():
-    # the walk takes 20H - 10 sum E to degree 0 and 9H - 6 sum E on P^3 to
-    # degree -9; 16H - (9,7,6,5,3).E walks to 9H - (4,2,2,1,0).E
+    # on P^2, 20H - 10 sum E is ten conics, and 16H - (9,7,6,5,3).E is
+    # nef, so h0 = chi = 38; the walk takes 9H - 6 sum E on P^3 to degree -9
     cfg2, cfg3 = PointConfig.default(2, 5), PointConfig.default(3, 6)
     assert h0(DivisorClass(cfg2.lattice_context(), (20,), (10,) * 5), cfg2) == 1
     assert h0(DivisorClass(cfg3.lattice_context(), (9,), (6,) * 6), cfg3) == 0
     d = DivisorClass(cfg2.lattice_context(), (16,), (9, 7, 6, 5, 3))
     assert h0(d, cfg2) == direct_h0(d, cfg2) == 38
+
+
+def peel_h0(d, m):
+    """h0 on P^2 by peeling one fixed curve at a time: clip m at 0, then
+    subtract the line through the two largest m_i while they sum above d,
+    else the conic while 2d < sum m_i, and answer chi once neither holds,
+    or 0 once d < 0.  `_dim` takes the copies of one curve in a row and
+    answers 0 early by two pencils."""
+    while d >= 0:
+        m = sorted((max(a, 0) for a in m), reverse=True)
+        if m[0] + m[1] > d:
+            d, m[0], m[1] = d - 1, m[0] - 1, m[1] - 1
+        elif 2 * d < sum(m):
+            d, m = d - 2, [a - 1 for a in m]
+        else:
+            return (d + 1) * (d + 2) // 2 - sum(a * (a + 1) for a in m) // 2
+    return 0
+
+
+def test_h0_on_the_plane_matches_direct_elimination():
+    """At n = 2 `h0` peels lines and the conic and eliminates nothing, so
+    direct elimination checks it: seeded classes at r = 5..10 on random
+    parameters, sorted m in [0, d + 1] and unsorted m in [-1, d + 1]."""
+    rng = random.Random(53)
+    for r, dmax in zip(range(5, 11), (7, 7, 6, 6, 5, 5)):
+        cfg = PointConfig.random(2, r, r)
+        ctx = cfg.lattice_context()
+        for _ in range(60):
+            d = rng.randint(0, dmax)
+            unsorted = [rng.randint(-1, d + 1) for _ in range(r)]
+            for m in (sorted((rng.randint(0, d + 1) for _ in range(r)), reverse=True), unsorted):
+                cls = DivisorClass(ctx, (d,), tuple(m))
+                assert h0(cls, cfg) == direct_h0(cls, cfg) == peel_h0(d, m), cls
+
+
+def test_h0_on_the_plane_takes_each_curve_in_a_row():
+    # the steps of `_dim` agree with peeling one curve at a time, on
+    # classes too large to eliminate
+    rng = random.Random(59)
+    cfgs = {r: PointConfig.default(2, r) for r in range(5, 15)}
+    for _ in range(2000):
+        r, d = rng.randint(5, 14), rng.randint(-2, 80)
+        m = tuple(rng.randint(-2, d + 3) for _ in range(r))
+        assert h0(DivisorClass(cfgs[r].lattice_context(), (d,), m), cfgs[r]) == peel_h0(d, m)
+
+
+def test_h0_on_the_plane_builds_no_condition(monkeypatch):
+    """n = 2 needs no size bound for h0: no condition row is built, and the
+    steps do not grow with the degree."""
+    def refuse(*args):
+        raise AssertionError("h0 on P^2 built a condition row")
+
+    monkeypatch.setattr(section_spaces, "_condition_rows", refuse)
+    cfg = PointConfig.default(2, 9)
+    ctx = cfg.lattice_context()
+    # 24H - 8 sum E_i peels five conics to the nef 14H - 3 sum E_i
+    assert h0(DivisorClass(ctx, (24,), (8,) * 9), cfg) == 66 == 15 * 16 // 2 - 9 * 6
+    # one curve at a time, the lines through pairs of four points peel
+    # 20H - 11(E_1 + .. + E_4) to a negative degree; the conics through
+    # the four points answer 0 at once, and at any degree
+    empty = DivisorClass(ctx, (20,), (11,) * 4 + (0,) * 5)
+    assert h0(empty, cfg) == peel_h0(20, empty.m) == 0
+    s = 10 ** 12
+    assert h0(DivisorClass(ctx, (2 * s,), (s + 1, s, s, s) + (0,) * 5), cfg) == 0
+    # s(C + L_12) has the rigid conic C, C^2 = -5, and then s L_12 fixed
+    assert h0(DivisorClass(ctx, (3 * s,), (2 * s, 2 * s) + (s,) * 7), cfg) == 1
+    # five points, r = n + 3, take the same rule
+    assert h0(conic_class(CFG25), CFG25) == 1
 
 
 def cremona_chamber(n, d, m):

@@ -10,14 +10,14 @@ the warm-up and for the pass.
 generation, the section queries:
   eliminations       calls of `linalg.echelon` from the section layer;
   condition_cells    rows x width over those eliminations;
-  walks              chamber walks of `h0`'s rule (r = n + 3 only);
+  walks              chamber walks of `h0`'s rule (r = n + 3, n >= 3 only);
   walk_reflections   simple reflections over those walks;
   dims               calls of that rule, `section_spaces._dim`, from `h0`
                      and from every span state;
   dims_without_elimination
-                     those answered with no elimination: by the degree and
-                     multiplicity test after the walk, or by the echelon
-                     slot;
+                     those answered with no elimination: by the peeling
+                     rule (n = 2), by the degree and multiplicity test
+                     after the walk, or by the echelon slot;
   span_states        span states the generation tests solve (the
                      constants are not counted).
 
