@@ -24,7 +24,9 @@ last stored pivot p_r is the determinant of the pivot minor, so by Cramer's
 rule p_r times a kernel vector is integral and every division on the way is
 exact.  Each vector is divided by p_r once, at the end: one vector per free
 column, with 1 there and 0 in the other free columns, which is the
-canonical basis of the reduced row echelon form.
+canonical basis of the reduced row echelon form.  The reduced rows are
+read off the same way: p_r times each is integral, and a stored row, zero
+in every earlier pivot column, needs only the reduced rows stored after it.
 
 Rank, kernels, the section spaces and the span tracking of the
 generation test all run on this one core.
@@ -112,6 +114,31 @@ class RowEchelon:
                 vec[c] = -sum(map(mul, row[c + 1:], vec[c + 1:])) // row[c]
             basis.append(tuple(Fraction(v, det) for v in vec))
         return basis
+
+    def reduced(self) -> list:
+        """The reduced row echelon form as Fraction tuples, one per pivot
+        column with 1 there and 0 in the other pivot columns, ordered by
+        pivot.
+
+        Each row is solved in integers as det times the row, det the last
+        stored pivot, the latest stored row first; every division is exact
+        (see the module docstring).
+
+        >>> ech = RowEchelon(3)
+        >>> [ech.add(row) for row in ([0, 2, 4], [3, 0, 3])]
+        [True, True]
+        >>> ech.reduced()
+        [(Fraction(1, 1), Fraction(0, 1), Fraction(1, 1)), (Fraction(0, 1), Fraction(1, 1), Fraction(2, 1))]
+        """
+        det = self.rows[-1][1][self.rows[-1][0]] if self.rows else 1
+        done = []  # (pivot column, det times its reduced row)
+        for c, row in reversed(self.rows):
+            x = [det * a for a in row]
+            for later, y in done:
+                if row[later]:
+                    x = [a - row[later] * b for a, b in zip(x, y)]
+            done.append((c, [a // row[c] for a in x]))
+        return [tuple(Fraction(v, det) for v in x) for _, x in sorted(done)]
 
 
 def _integer_row(row) -> list:

@@ -14,13 +14,17 @@ A `PointConfig` scales its points to integers once and keeps every block of
 conditions it has built, per (degree, point, order), for as long as it
 lives, so a pass that asks hundreds of classes on one configuration builds
 each block once; other points are not kept.  It also keeps the echelon of
-the last section space it was asked about, so `form_space` and
-`section_of` on one class eliminate its conditions once, and `h0` shares
-that elimination where it eliminates: h0 is the width less the rank, and
-the kernel is read off the same echelon.  On P^2 `h0` builds no condition
-at any number of points: it peels the lines through two points and the
-conic off the class while the class meets them negatively, and answers
-chi of the nef class left (the argument is `_dim`'s).  For n >= 3 at
+the last section space it eliminated, so `form_space` and `section_of`
+on one class eliminate its conditions once, and `h0` shares that
+elimination where it eliminates: h0 is the width less the rank, and the
+kernel is read off the same echelon.  On P^2 one peel rule, `_peel`,
+serves both: it takes the lines through two points and the conic off the
+class while the class meets them negatively.  `h0` builds no condition at
+any number of points and answers chi of the nef class left (the argument
+is `_dim`'s); `form_space` and `section_of` eliminate only that nef class
+and multiply its kernel by the peeled curves' forms, so a class that
+peels to degree 0 or to h0 = 0 builds no condition either, and the slot
+holds the nef class.  For n >= 3 at
 r = n + 3 points h0 is invariant under the Weyl group of T_{2,n+1,2},
 which acts by Cremona transformations, and does not depend on the
 parameters (Brambilla, Dumitrescu and Postinghel, Exp. Math. 2016), so
@@ -49,7 +53,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import inf, perm, prod
-from operator import getitem, mul
+from operator import add, getitem, mul
 
 from .blowup_divisors import (
     BlowupContext,
@@ -78,8 +82,8 @@ class PointConfig:
 
     A configuration also keeps its points' integer representatives and the
     section layer's memos: the condition blocks `_condition_rows` has built,
-    keyed by (d, i, order); the echelon of the last section space asked
-    about, keyed by (d, mults clipped at 0); and the generation test's
+    keyed by (d, i, order); the echelon of the last section space
+    eliminated, keyed by (d, mults clipped at 0); and the generation test's
     generators, their integer section terms and their values per degree.
     None takes part in equality, hashing, repr or JSON.  Up to the highest
     degree asked they hold at most r * sum(d + 1) blocks, one echelon, and
@@ -217,11 +221,37 @@ def _section_echelon(deg: int, mults: tuple, cfg: PointConfig) -> RowEchelon:
     return cfg._echelon[1]
 
 
+def _peel(k: int, mults) -> tuple:
+    """(h0, k', steps): h0 of kH - sum m_i E_i on P^2 by the one peel rule
+    (`_dim` gives the argument), and, when h0 > 0, the degree k' of the nef
+    class left and the fixed curves peeled off, in order, as (degree,
+    copies): degree 1 for the line through two points holding the two
+    largest m_i, 2 for the conic.  It works on sorted values; when h0 = 0,
+    k' and steps are None."""
+    m = sorted((max(a, 0) for a in mults), reverse=True)
+    steps = []
+    while m[0] <= k and sum(m[:4]) <= 2 * k:
+        if m[0] + m[1] > k:  # D.L_12 < 0
+            t = m[0] + m[1] - k
+            k, m[0], m[1] = k - t, m[0] - t, m[1] - t
+            steps.append((1, t))
+        elif 2 * k < sum(m):  # D.C < 0
+            p = len(m) - m.count(0)
+            t = min(-((2 * k - sum(m)) // (p - 4)), m[p - 1])
+            k, m = k - 2 * t, [max(a - t, 0) for a in m]
+            steps.append((2, t))
+        else:
+            return (k + 1) * (k + 2) // 2 - sum(a * (a + 1) for a in m) // 2, k, steps
+        m.sort(reverse=True)
+    return 0, None, None
+
+
 def _dim(k: int, mults, cfg: PointConfig) -> int:
     """h0 of D = kH - sum m_i E_i over cfg, the one h0 rule.
 
-    On P^2 it builds no condition: it peels the fixed curves off D and
-    answers chi of what is left.  The minimal divisors there are the lines
+    On P^2 it builds no condition: it peels the fixed curves off D with
+    `_peel`, the rule `form_space` replays on the points, and answers chi
+    of what is left.  The minimal divisors there are the lines
     L_ij = H - E_i - E_j and the conic C = 2H - sum E_i.
 
     1. Fixed components.  Three points of a smooth conic are not collinear,
@@ -272,19 +302,7 @@ def _dim(k: int, mults, cfg: PointConfig) -> int:
     degree-k forms vanishing to an order above k at a point are zero, and
     otherwise h0 is the width less the rank."""
     if cfg.n == 2:
-        m = sorted((max(a, 0) for a in mults), reverse=True)
-        while m[0] <= k and sum(m[:4]) <= 2 * k:
-            if m[0] + m[1] > k:  # D.L_12 < 0
-                t = m[0] + m[1] - k
-                k, m[0], m[1] = k - t, m[0] - t, m[1] - t
-            elif 2 * k < sum(m):  # D.C < 0
-                p = len(m) - m.count(0)
-                t = min(-((2 * k - sum(m)) // (p - 4)), m[p - 1])
-                k, m = k - 2 * t, [max(a - t, 0) for a in m]
-            else:
-                return (k + 1) * (k + 2) // 2 - sum(a * (a + 1) for a in m) // 2
-            m.sort(reverse=True)
-        return 0
+        return _peel(k, mults)[0]
     if cfg.r == cfg.n + 3:
         k, *mults = _walk((k, *mults), _chamber(cfg.lattice_context())[0])
     if k < 0 or max(mults) > k:
@@ -331,13 +349,102 @@ class FormSpace:
     kernel: tuple
 
 
-def form_space(d: DivisorClass, cfg: PointConfig) -> FormSpace:
+def _degree(d: DivisorClass, cfg: PointConfig) -> int:
+    """hdeg(d), once d is checked to live on cfg's blow-up and to have
+    H-degree >= 0, so that it has forms to solve for."""
     _check_class(d, cfg.lattice_context())
     deg = hdeg(d)
     if deg < 0:
         raise PreconditionError("D", f"need H-degree >= 0, got {deg}")
-    kernel = tuple(_section_echelon(deg, d.m, cfg).kernel())
-    return FormSpace(deg, monomial_exponents(cfg.n, deg), kernel)
+    return deg
+
+
+# z_0 z_2 - z_1^2, the conic through every point of the curve
+_CONIC = {(1, 0, 1): 1, (0, 2, 0): -1}
+
+
+def _times(f: dict, g: dict) -> dict:
+    """The product of two forms held as {exponents: coefficient}."""
+    out = {}
+    for e, a in f.items():
+        for h, b in g.items():
+            key = tuple(map(add, e, h))
+            out[key] = out.get(key, 0) + a * b
+    return out
+
+
+def _kernel(k: int, mults, cfg: PointConfig) -> tuple:
+    """The canonical kernel basis of kH - sum m_i E_i, k >= 0, as
+    `form_space` states it; on P^2 only the nef class left by `_peel` is
+    eliminated."""
+    steps = ()
+    if cfg.n == 2:
+        dim, rest, steps = _peel(k, mults)
+        if not dim:
+            return ()
+    if not steps:
+        return tuple(_section_echelon(k, mults, cfg).kernel())
+    m, fixed = [max(a, 0) for a in mults], {(0, 0, 0): 1}
+    for degree, t in steps:
+        if degree == 1:  # the line through two points of the largest m_i
+            i, j = sorted(range(cfg.r), key=m.__getitem__)[-2:]
+            (p, _), (q, _) = cfg._reps[i], cfg._reps[j]
+            m[i], m[j] = m[i] - t, m[j] - t
+            cross = (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
+            curve = dict(zip(monomial_exponents(2, 1), cross))
+        else:
+            m, curve = [max(a - t, 0) for a in m], _CONIC
+        for _ in range(t):
+            fixed = _times(fixed, curve)
+    monos = monomial_exponents(2, rest)
+    if any(m):
+        forms = [{g: c for g, c in zip(monos, _integer_row(v)) if c}
+                 for v in _section_echelon(rest, m, cfg).kernel()]
+    else:  # no condition is left: every form of degree rest
+        forms = [{g: 1} for g in monos]
+    columns = monomial_exponents(2, k)[::-1]
+    ech = RowEchelon(len(columns))
+    for form in forms:
+        form = _times(fixed, form)
+        ech.add([form.get(g, 0) for g in columns])
+    return tuple(row[::-1] for row in reversed(ech.reduced()))
+
+
+def form_space(d: DivisorClass, cfg: PointConfig) -> FormSpace:
+    """The forms of degree hdeg(d) vanishing to order m_i at each curve
+    point p_i, and the canonical basis of that space: one vector per free
+    column of the conditions' echelon (the columns that are not among the
+    first independent ones), with 1 there and 0 in the other free columns.
+
+    On P^2 only the nef class left by `_peel` is eliminated, and the
+    steps are replayed on the points: a line step takes any two points
+    holding the two largest m_i.  If D.N < 0 for one of the lines L_ij or
+    the conic C, N is a fixed component of |D| (`_dim`, step 1), and
+    multiplying by N's form s_N is an isomorphism H0(D - N) -> H0(D): it
+    is injective, and the two sides have the same dimension by that step.
+    So the forms of D are the products of the peeled curves' forms (each
+    line the cross product of its two points' integer representatives,
+    the conic z_0 z_2 - z_1^2) with the nef remainder's kernel.  A
+    remainder with every m_i = 0 has every form of its degree, and needs
+    no elimination.  The products span the space, but not in the canonical
+    basis, which matroid duality recovers.  The kernel's rows and the
+    conditions' rows span orthogonal complements, so their column matroids
+    are dual, and the complement of a basis of one is a basis of the other.
+    The conditions' first independent columns, taken left to right, are
+    their least basis; so the free columns are the greatest basis of the
+    kernel's columns, taken right to left, and the canonical basis is the
+    products' reduced row echelon form on pivots chosen right to left: the
+    reduced rows of one `RowEchelon` of the reversed products.
+
+    For n >= 3 the class itself is eliminated, through cfg's echelon slot.
+
+    >>> cfg = PointConfig.default(2, 5)
+    >>> fs = form_space(DivisorClass(cfg.lattice_context(), (2,), (1, 1, 1, 1, 1)), cfg)
+    >>> [(g, str(c)) for g, c in zip(fs.monomials, fs.kernel[0]) if c]
+    [((1, 0, 1), '-1'), ((0, 2, 0), '1')]
+    """
+    deg = _degree(d, cfg)
+    return FormSpace(deg, monomial_exponents(cfg.n, deg), _kernel(deg, d.m, cfg))
 
 
 def _z_names(n: int) -> tuple:
@@ -367,12 +474,16 @@ def _form_vector(f: MultiPoly, n: int) -> tuple:
 
 
 def section_vector(d: DivisorClass, cfg: PointConfig) -> tuple:
-    """The unique form of a one-dimensional section space, as a vector with leading entry 1."""
-    fs = form_space(d, cfg)
-    if len(fs.kernel) != 1:
-        raise PreconditionError("D", f"h0 = {len(fs.kernel)}, need exactly 1")
-    lead = next(c for c in fs.kernel[0] if c)
-    return tuple(c / lead for c in fs.kernel[0])
+    """The unique form of a one-dimensional section space, as a vector with
+    leading entry 1.  On P^2 a class with h0 != 1 is refused by the peel,
+    before any elimination."""
+    if cfg.n == 2 and (dim := _peel(_degree(d, cfg), d.m)[0]) != 1:
+        raise PreconditionError("D", f"h0 = {dim}, need exactly 1")
+    kernel = form_space(d, cfg).kernel
+    if len(kernel) != 1:
+        raise PreconditionError("D", f"h0 = {len(kernel)}, need exactly 1")
+    lead = next(c for c in kernel[0] if c)
+    return tuple(c / lead for c in kernel[0])
 
 
 def section_of(d: DivisorClass, cfg: PointConfig) -> MultiPoly:
@@ -490,8 +601,9 @@ def generation_test(d: DivisorClass, cfg: PointConfig,
     P^2 it is peeled and eliminates nothing, and for n >= 3 at r = n + 3 it
     eliminates only the state's chamber representative, while the rows
     stay in the state's own space.  An elimination goes through cfg's
-    echelon slot, which is put back after the span, or its cap; the
-    generators' sections eliminate there too, at every n.
+    echelon slot, which is put back after the span, or its cap; for
+    n >= 3 the generators' sections eliminate there too, while on P^2 each
+    is a line or the conic, peeled to degree 0 with no elimination.
 
     cfg lists its generators once, and solves a generator's section and its
     values per degree the first time a product uses them, keeping all three;

@@ -228,6 +228,15 @@ def test_precondition_exit_1_with_payload(capsys):
                                         "field": "n", "type": "precondition"}
 
 
+def test_section_and_mult_refuse_a_large_pencil_at_once(capsys):
+    # 24H - 8 sum E_i at nine points has h0 = 66; on P^2 the peel refuses it
+    # before its 325 monomial columns are eliminated
+    for verb in ("section", "mult"):
+        code, out, err = run(capsys, verb, "--n", "2", "--r", "9", "--d", "24", "--m", "8" + ",8" * 8)
+        assert (code, out) == (1, "")
+        assert err == '{"error":{"detail":"h0 = 66, need exactly 1","field":"D","type":"precondition"}}\n'
+
+
 def test_minuscule_refuses_infinite_type(capsys):
     # checked before any weight is saturated, as in is_minuscule
     for triple in ("2,4,4", "3,3,3"):

@@ -9,7 +9,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coxforge.linalg import RowEchelon, echelon, nullspace, rank
+from coxforge.linalg import RowEchelon, _integer_row, echelon, nullspace, rank
 
 # a later row taking an earlier pivot column, dependent rows arriving before
 # independent ones, and the all-zero matrix
@@ -127,6 +127,17 @@ def check_against_fraction_kernel(rows, ncols):
     want = fraction_kernel(ech)
     assert ech.kernel() == want
     assert nullspace(rows, ncols) == want
+    # each reduced row holds, in a free column f, minus the entry of f's
+    # kernel vector in the row's pivot column
+    pivots = ech.pivots()
+    free = [f for f in range(ncols) if f not in pivots]
+    reduced = []
+    for c in pivots:
+        row = [Fraction(int(j == c)) for j in range(ncols)]
+        for f, vec in zip(free, want):
+            row[f] = -vec[c]
+        reduced.append(tuple(row))
+    assert ech.reduced() == reduced
 
 
 @settings(max_examples=150, deadline=None)
@@ -138,6 +149,17 @@ def check_against_fraction_kernel(rows, ncols):
 @example(([[0, 1, 2], [0, 2, 4], [1, 0, 1]], 3))    # a pivot left of an earlier one
 def test_integer_back_substitution_matches_fraction_back_substitution(case):
     check_against_fraction_kernel(*case)
+
+
+def test_reduced_rows_match_sympy_rref():
+    rng = random.Random(57)
+    for rows in EDGE_MATRICES + [random_matrix(rng, rng.randint(1, 5), rng.randint(1, 6))
+                                 for _ in range(30)]:
+        rref, pivots = to_sympy(rows).rref()
+        want = [tuple(Fraction(int(v.p), int(v.q)) for v in rref.row(i)) for i in range(len(pivots))]
+        assert full_echelon(rows, len(rows[0])).reduced() == want
+        assert echelon(list(map(_integer_row, rows)), len(rows[0])).pivots() == list(pivots)
+    assert RowEchelon(2).reduced() == []
 
 
 def test_kernel_scale_is_the_last_pivot_of_either_sign():

@@ -437,10 +437,20 @@ def test_generation_solves_each_section_once_per_configuration(monkeypatch):
 
 
 def _fill_blocks(cfg):
+    """h0 and form_space of classes of degree 1..3 that ask orders 0..2.  On
+    P^2 they are nef, so the peel leaves each whole and form_space
+    eliminates the class itself."""
     ctx = cfg.lattice_context()
+    r = cfg.r
     for deg in range(1, 4):
-        for m in ((deg,) + (1,) * (cfg.r - 1), (deg - 1,) * cfg.r, (2, 0, 1) * 3):
-            d = DivisorClass(ctx, (deg,), m[:cfg.r])
+        if cfg.n == 2:
+            mults = ((deg,) + (0,) * (r - 1), (deg - 1, 1) + (0,) * (r - 2),
+                     (1,) * (2 * deg - 1) + (0,) * (r - 2 * deg + 1))
+        else:
+            mults = ((deg,) + (1,) * (r - 1), (deg - 1,) * r, (2, 0, 1) * 3)
+        for m in mults:
+            d = DivisorClass(ctx, (deg,), m[:r])
+            assert cfg.n > 2 or section_spaces._peel(deg, d.m)[2] == []
             h0(d, cfg)
             form_space(d, cfg)
 
@@ -575,16 +585,18 @@ def test_h0_at_n_plus_3_points_eliminates_the_chamber_representative(monkeypatch
 
 def test_interleaved_classes_answer_as_on_a_fresh_configuration():
     """A, B, A on one configuration: each answer is a fresh configuration's,
-    including a kernel read after an elimination stopped at full column rank."""
-    cfg = PointConfig.random(2, 6, 19)
+    including a kernel read after an elimination stopped at full column rank
+    (12 conditions on the 10 quadrics).  On P^3 at r = n + 4, where h0 and
+    form_space both eliminate the class itself."""
+    cfg = PointConfig.random(3, 7, 19)
     ctx = cfg.lattice_context()
-    a = DivisorClass(ctx, (4,), (2, 2, 1, 1, 1, 1))
-    b = DivisorClass(ctx, (3,), (1, 1, 1, 1, 1, 0))
-    empty = DivisorClass(ctx, (2,), (2, 2, 1, 0, 0, 0))
+    a = DivisorClass(ctx, (4,), (2, 2, 1, 1, 1, 1, 1))
+    b = DivisorClass(ctx, (3,), (1, 1, 1, 1, 1, 1, 0))
+    empty = DivisorClass(ctx, (2,), (2, 2, 1, 1, 1, 1, 0))
     fresh = {}
     for d in (a, b, empty):
-        fresh[d] = (h0(d, PointConfig.random(2, 6, 19)),
-                    form_space(d, PointConfig.random(2, 6, 19)).kernel)
+        fresh[d] = (h0(d, PointConfig.random(3, 7, 19)),
+                    form_space(d, PointConfig.random(3, 7, 19)).kernel)
     assert fresh[empty] == (0, ())
     for d, e in ((a, b), (b, a), (a, empty), (empty, a), (a, a)):
         assert h0(d, cfg) == fresh[d][0]
@@ -907,6 +919,61 @@ def test_h0_on_the_plane_builds_no_condition(monkeypatch):
     assert h0(DivisorClass(ctx, (3 * s,), (2 * s, 2 * s) + (s,) * 7), cfg) == 1
     # five points, r = n + 3, take the same rule
     assert h0(conic_class(CFG25), CFG25) == 1
+
+
+def test_form_space_on_the_plane_matches_direct_elimination():
+    """At n = 2 `form_space` eliminates only the nef class left by peeling,
+    multiplies its kernel by the peeled curves' forms and reads the
+    canonical basis off the products; it must be the direct elimination's,
+    vector for vector: seeded classes at r = 5..10 on random parameters,
+    d <= 8 and m_i in [-1, top], top in [d // 2, d + 1] per class."""
+    rng = random.Random(61)
+    seen = Counter()
+    for r in range(5, 11):
+        cfg = PointConfig.random(2, r, r)
+        ctx = cfg.lattice_context()
+        for _ in range(30):
+            d = rng.randint(0, 8)
+            top = rng.randint(d // 2, d + 1)
+            m = tuple(rng.randint(-1, top) for _ in range(r))
+            width = len(monomial_exponents(2, d))
+            want = tuple(echelon(section_spaces._condition_rows(d, m, cfg), width).kernel())
+            assert form_space(DivisorClass(ctx, (d,), m), cfg).kernel == want, (r, d, m)
+            seen[min(len(want), 2), bool(section_spaces._peel(d, m)[2])] += 1
+    # h0 = 0, 1 and >= 2 all occur, and classes with h0 > 0 are peeled
+    assert {h for h, _ in seen} == {0, 1, 2}
+    assert seen[1, True] and seen[2, True]
+
+
+def _count_eliminations(monkeypatch) -> Counter:
+    """Calls of `echelon` from the section layer, by (rows, width)."""
+    asked = Counter()
+
+    def counted(rows, ncols):
+        asked[len(rows), ncols] += 1
+        return echelon(rows, ncols)
+
+    monkeypatch.setattr(section_spaces, "echelon", counted)
+    return asked
+
+
+def test_plane_sections_eliminate_only_a_nef_remainder(monkeypatch):
+    """On P^2 no condition row is built for a class with h0 = 0, nor for
+    4C = 8H - 4 sum E_i at five points, which peels to degree 0; and
+    `section_vector` refuses h0 != 1 by the peel, with no elimination."""
+    asked = _count_eliminations(monkeypatch)
+    cfg5, cfg9 = PointConfig.default(2, 5), PointConfig.default(2, 9)
+    ctx = cfg5.lattice_context()
+    conic = section_of(conic_class(cfg5), cfg5)
+    assert form_space(DivisorClass(ctx, (2,), (2, 2, 1, 0, 0)), cfg5).kernel == ()
+    assert section_of(DivisorClass(ctx, (8,), (4,) * 5), cfg5) == conic ** 4
+    with pytest.raises(PreconditionError) as info:
+        section_vector(DivisorClass(cfg9.lattice_context(), (24,), (8,) * 9), cfg9)
+    assert (info.value.field, info.value.detail) == ("D", "h0 = 66, need exactly 1")
+    assert not asked and not cfg5._blocks and not cfg9._blocks
+    # a negative degree is refused before the peel, by form_space's rule
+    with pytest.raises(PreconditionError, match="need H-degree >= 0"):
+        section_vector(DivisorClass(ctx, (-1,), (0,) * 5), cfg5)
 
 
 def cremona_chamber(n, d, m):

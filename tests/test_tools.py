@@ -32,17 +32,31 @@ def test_lattice_counters_seed_1_pass_0():
 
 
 def test_section_counters_seed_1_pass_0():
-    # the counts BENCH_22.json records for the generation workload, seed 1,
-    # pass 0.  h0 on P^2 peels and builds no condition, so the eliminations
-    # and walks are P^3's and the generators' sections; dims and
-    # span_states count the span recurrence's work
+    # the counts BENCH_23.json records for the generation workload, seed 1,
+    # pass 0.  h0 on P^2 peels and builds no condition, and a generator's
+    # section there is a line or the conic, peeled to degree 0, so the
+    # eliminations and walks are P^3's; dims and span_states count the span
+    # recurrence's work
     report = run_tool("generation")
-    assert report["pass"] == {"eliminations": 140, "condition_cells": 8624, "walks": 158,
+    assert report["pass"] == {"eliminations": 103, "condition_cells": 8312, "walks": 158,
                               "walk_reflections": 1567, "dims": 3282,
                               "dims_without_elimination": 3233, "span_states": 2444}
-    assert report["warm_up"] == {"eliminations": 62, "condition_cells": 5732, "walks": 114,
+    assert report["warm_up"] == {"eliminations": 55, "condition_cells": 5666, "walks": 114,
                                  "walk_reflections": 1184, "dims": 187,
                                  "dims_without_elimination": 165, "span_states": 140}
+
+
+def test_high_degree_counters_seed_1_pass_0():
+    # the counts BENCH_23.json records for the high_degree workload, seed 1,
+    # pass 0: seven classes.  On P^2 two of the four peel to the nef
+    # 2H - E_1 - .. - E_4, eliminated once through the echelon slot, and the
+    # other two to degree 0; on P^3 h0 eliminates D+ and form_space D itself.
+    # Before the peeled kernels the pass read 10 and 9,461
+    report = run_tool("high_degree")
+    assert report["pass"] == {"eliminations": 7, "condition_cells": 4820, "walks": 3,
+                              "dims": 7, "dims_without_elimination": 4}
+    assert report["warm_up"] == {"eliminations": 2, "condition_cells": 90, "walks": 1,
+                                 "dims": 2, "dims_without_elimination": 1}
 
 
 def test_invariant_counters_seed_1_pass_0():

@@ -1,6 +1,6 @@
 """Deterministic work counters of one benchmark workload's queries.
 
-    PYTHONPATH=src python3 tools/counters.py {generation,invariants,lattice} [--seed 1] [--pass 0]
+    PYTHONPATH=src python3 tools/counters.py {generation,high_degree,invariants,lattice} [--seed 1] [--pass 0]
 
 Run from the repository root.  It builds the named workload of the benchmark
 (perfbench/workloads.py), answers its warm-up queries and then the queries of
@@ -20,6 +20,11 @@ generation, the section queries:
                      after the walk, or by the echelon slot;
   span_states        span states the generation tests solve (the
                      constants are not counted).
+
+high_degree, the large section spaces: eliminations, condition_cells,
+  walks, dims and dims_without_elimination as for generation; here the
+  eliminations come from `form_space` and `section_of` too, which on P^2
+  eliminate only the nef class left by peeling.
 
 invariants, the determinant queries:
   determinants       calls of `build_F`;
@@ -195,6 +200,8 @@ WORKLOADS = {
     "generation": (install_generation, (
         "eliminations", "condition_cells", "walks", "walk_reflections",
         "dims", "dims_without_elimination", "span_states")),
+    "high_degree": (install_generation, (
+        "eliminations", "condition_cells", "walks", "dims", "dims_without_elimination")),
     "invariants": (install_invariants, (
         "determinants", "determinant_terms", "derivation_pairs", "term_passes")),
     "lattice": (install_lattice, (
