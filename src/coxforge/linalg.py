@@ -30,14 +30,42 @@ in every earlier pivot column, needs only the reduced rows stored after it.
 
 Rank, kernels, the section spaces and the span tracking of the
 generation test all run on this one core.
+
+`modular_kernel` gives the same canonical kernel from residues, and ships
+only what an exact check certifies (the design of Chen and Storjohann's
+IML, 2005).  Mod a prime p the rows have rank_p <= rank_Q, as a minor
+nonzero mod p is nonzero; so h0_p = ncols - rank_p >= h0_Q.  The
+canonical kernel mod p has one vector v_f per free column f mod p: 1 at f,
+0 at the other free columns, and -R[c][f] at each pivot c of the reduced
+echelon form R mod p, nonzero only for c < f.  Each entry at a pivot is
+lifted by Wang's rational reconstruction (1981), modulo p or the product
+of primes combined by CRT, and each lifted v_f is checked exactly:
+A v_f = 0 on every integer row.  When all h0_p pass, they are h0_p
+rational kernel vectors, independent since each has 1 at its own free
+column and 0 at the others; so h0_Q >= h0_p, the two are equal, and the
+vectors span ker_Q.  A prime with rank_p < rank_Q leaves more vectors than
+ker_Q holds, so one of them fails; so does a reconstruction that went
+wrong.  The answer is read off the vectors that pass by `_right_reduced`,
+so it does not depend on the prime.  The canonical basis of ker_Q has 1 at
+its vector's free column f and 0 at the other free columns, and is zero at
+every pivot right of f; so read right to left it is the reduced row
+echelon form of ker_Q, which any spanning set of ker_Q gives.  The i-th
+rational pivot is at most the i-th pivot mod p, so residues are combined
+only between primes of the greatest rank and then the least pivots seen.
+Full column rank mod p certifies the empty kernel with no lift.  When no
+prime of the budget certifies a basis, the rows are eliminated exactly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import repeat
-from math import lcm
+from math import isqrt, lcm
 from operator import mul
+
+# the prime budget of `modular_kernel`: 2^127 - 1 first, then 61-bit primes
+# whose residues are combined with the earlier ones by CRT
+PRIMES = (2 ** 127 - 1, 2 ** 61 - 1, 2 ** 61 - 31, 2 ** 61 - 45)
 
 
 class RowEchelon:
@@ -164,6 +192,134 @@ def echelon(rows, ncols: int) -> RowEchelon:
             raise TypeError(f"echelon takes integer rows, got {list(row)!r}")
         ech.add(row)
     return ech
+
+
+def _right_reduced(rows, ncols: int) -> tuple:
+    """The reduced row echelon form of the span of the integer `rows` on
+    pivots chosen right to left, as Fraction tuples ordered by pivot: the
+    reduced rows of one `RowEchelon` of the reversed rows.  On any rows
+    that span a kernel it is the canonical kernel basis (see the module
+    docstring).
+
+    >>> _right_reduced([[1, 1, 1], [2, 1, 2]], 3)
+    ((Fraction(0, 1), Fraction(1, 1), Fraction(0, 1)), (Fraction(1, 1), Fraction(0, 1), Fraction(1, 1)))
+    """
+    ech = RowEchelon(ncols)
+    for row in rows:
+        ech.add(row[::-1])
+    return tuple(row[::-1] for row in reversed(ech.reduced()))
+
+
+def _kernel_mod(rows, ncols: int, p: int) -> tuple:
+    """(pivots, residues) of the integer `rows` mod the prime p: the pivot
+    columns, and the canonical kernel basis mod p, one vector per free
+    column, each given by its entries in the pivot columns; stopped once it
+    has full column rank.
+
+    A row is reduced by the stored rows as `RowEchelon.add` does, each
+    stored row 1 at its pivot; the residues are reduced once per row, so
+    its entries grow by at most p^2 a step.  The kernel is read off by
+    back-substitution, as `RowEchelon.kernel` does."""
+    stored = []
+    for row in rows:
+        x = list(row)
+        for c, s in stored:
+            f = x[c] % p
+            if f:
+                x[c:] = [a - f * b for a, b in zip(x[c:], s[c:])]
+        x = [a % p for a in x]
+        c = next((j for j, v in enumerate(x) if v), None)
+        if c is None:
+            continue
+        inv = pow(x[c], -1, p)
+        x[c:] = [a * inv % p for a in x[c:]]
+        stored.append((c, x))
+        if len(stored) == ncols:
+            return tuple(range(ncols)), []
+    stored.sort()
+    pivots = tuple(c for c, _ in stored)
+    residues = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [0] * ncols
+        vec[free] = 1
+        for c, s in reversed(stored):
+            vec[c] = -sum(map(mul, s[c + 1:], vec[c + 1:])) % p
+        residues.append([vec[c] for c in pivots])
+    return pivots, residues
+
+
+def _reconstruct(residues, m: int):
+    """(den, nums): one common denominator 0 < den <= sqrt(m/2) and the
+    symmetric residues of den * u mod m, from Wang's rational
+    reconstruction of each residue u in turn (the running denominator is
+    multiplied in first, so most entries need no search); None when an
+    entry has no fraction within the bounds sqrt(m/2)."""
+    bound, half = isqrt(m // 2), m // 2
+    den = 1
+    for u in residues:
+        x = u * den % m
+        if min(x, m - x) <= bound:
+            continue
+        r0, r1, t0, t1 = m, x, 0, 1
+        while r1 > bound:
+            q = r0 // r1
+            r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+        den *= abs(t1)
+        if den > bound:
+            return None
+    return den, [(u * den + half) % m - half for u in residues]
+
+
+def modular_kernel(rows, ncols: int) -> tuple:
+    """The canonical kernel basis of the integer `rows` (ncols wide): the
+    tuple of `echelon(rows, ncols).kernel()`, certified from residues.
+
+    For each prime of `PRIMES` in turn the rows are reduced mod p.  Full
+    column rank mod p answers () at once.  Otherwise the canonical kernel
+    mod p (1 at its free column f, 0 at the other free columns, -R[c][f] at
+    each pivot c) is combined by CRT with the earlier primes' when the
+    (rank, pivots) agree, lifted by rational reconstruction, and checked
+    exactly on every row; the first basis that passes is returned.  When
+    no prime certifies one, the rows are eliminated exactly.
+
+    >>> modular_kernel([[1, 2, 3], [2, 4, 6], [2, 1, 5]], 3)
+    ((Fraction(-7, 3), Fraction(-1, 3), Fraction(1, 1)),)
+    """
+    rows = list(rows)
+    best = None  # (-rank, pivots) of the primes combined so far
+    for p in PRIMES:
+        pivots, residues = _kernel_mod(rows, ncols, p)
+        if len(pivots) == ncols:
+            return ()
+        residues = [v for vec in residues for v in vec]
+        key = (-len(pivots), pivots)
+        if best is None or key < best:
+            best, m, combined = key, p, residues
+        elif key > best:
+            continue
+        else:  # CRT: the residue mod m * p that is u mod m and v mod p
+            lift = pow(m, -1, p)
+            combined = [u + m * ((v - u) * lift % p) for u, v in zip(combined, residues)]
+            m *= p
+        lifted = _reconstruct(combined, m)
+        if lifted is None:
+            continue
+        den, nums = lifted
+        free = [f for f in range(ncols) if f not in pivots]
+        basis = []
+        for i, f in enumerate(free):
+            vec = [0] * ncols
+            vec[f] = den
+            for c, v in zip(pivots, nums[i * len(pivots):]):
+                vec[c] = v
+            if any(sum(map(mul, row, vec)) for row in rows):
+                break
+            basis.append(vec)
+        else:
+            return _right_reduced(basis, ncols)
+    return tuple(echelon(rows, ncols).kernel())
 
 
 def rank(rows) -> int:

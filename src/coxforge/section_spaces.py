@@ -13,13 +13,16 @@ curve parameter, and tests the sums for zero.
 A `PointConfig` scales its points to integers once and keeps every block of
 conditions it has built, per (degree, point, order), for as long as it
 lives, so a pass that asks hundreds of classes on one configuration builds
-each block once; other points are not kept.  It also keeps the echelon of
-the last section space it eliminated, so `form_space` and `section_of`
-on one class eliminate its conditions once, and `h0` shares that
-elimination where it eliminates: h0 is the width less the rank, and the
-kernel is read off the same echelon.  On P^2 one peel rule, `_peel`,
-serves both: it takes the lines through two points and the conic off the
-class while the class meets them negatively.  `h0` builds no condition at
+each block once; other points are not kept.  It also keeps the last
+section space it solved, so `form_space` and `section_of` on one class
+solve its conditions once, and `h0` shares that solution where it solves
+one.  Small shapes are eliminated exactly: h0 is the width less the rank,
+and the kernel is read off the same echelon.  Past a gate on the shape
+(rows x width and the kernel-size bound max(width - rows, 0)) the kernel
+comes from `linalg.modular_kernel`, lifted from residues and shipped only
+once an exact check certifies it, and h0 is its size.  On P^2 one peel
+rule, `_peel`, serves `h0` and the kernels: it takes the lines through two
+points and the conic off the class while the class meets them negatively.  `h0` builds no condition at
 any number of points and answers chi of the nef class left (the argument
 is `_dim`'s); `form_space` and `section_of` eliminate only that nef class
 and multiply its kernel by the peeled curves' forms, so a class that
@@ -66,13 +69,15 @@ from .blowup_divisors import (
 from .budget import effective_cap
 from .errors import CapExceeded, PreconditionError
 from .jsonutil import encode_fraction
-from .linalg import RowEchelon, _integer_row, echelon
+from .linalg import RowEchelon, _integer_row, _right_reduced, echelon, modular_kernel
 from .multipoly import MultiPoly, _coerce_coef, _lift
 from .picard_lattice import DivisorClass, LatticeContext, hdeg
 from .root_system import _walk
 
 GENERATION_MONOMIAL_CAP = 20000
 GENERATION_STATE_CAP = 10 ** 5
+# the least condition cells (rows x width) `_modular` sends to `modular_kernel`
+MODULAR_CELLS = 1300
 
 
 @dataclass(frozen=True)
@@ -82,11 +87,12 @@ class PointConfig:
 
     A configuration also keeps its points' integer representatives and the
     section layer's memos: the condition blocks `_condition_rows` has built,
-    keyed by (d, i, order); the echelon of the last section space
-    eliminated, keyed by (d, mults clipped at 0); and the generation test's
+    keyed by (d, i, order); the last section space solved, its echelon or
+    its certified kernel, keyed by (d, mults clipped at 0); and the
+    generation test's
     generators, their integer section terms and their values per degree.
     None takes part in equality, hashing, repr or JSON.  Up to the highest
-    degree asked they hold at most r * sum(d + 1) blocks, one echelon, and
+    degree asked they hold at most r * sum(d + 1) blocks, one space, and
     one entry per generator and per (degree, generator); all live as long
     as it does.
 
@@ -207,18 +213,38 @@ def _condition_rows(d: int, mults, cfg: PointConfig) -> list:
     return rows
 
 
-def _section_echelon(deg: int, mults: tuple, cfg: PointConfig) -> RowEchelon:
-    """The echelon of the conditions of degree deg and multiplicities
-    mults, stopped at full column rank, from cfg's slot, None or one
-    ((deg, mults clipped at 0), echelon) pair: a configuration eliminates
-    again only when asked about another class, and a negative m_i adds no
-    condition."""
+def _modular(rows: int, width: int) -> bool:
+    """Whether conditions of this shape take the modular route: at least
+    MODULAR_CELLS cells and a kernel-size bound max(width - rows, 0) of at
+    most a quarter of the width.  From the crossover table of
+    tools/crossover.py: past both, the modular route won or tied on every
+    shape, and every elimination of the benchmark's generation workload
+    (at most 20 columns and 1,200 cells) stays exact; with kernels of half
+    the width it lost."""
+    return rows * width >= MODULAR_CELLS and 4 * (width - rows) <= width
+
+
+def _section_space(deg: int, mults: tuple, cfg: PointConfig):
+    """The conditions of degree deg and multiplicities mults, solved, from
+    cfg's slot, None or one ((deg, mults clipped at 0), space) pair: a
+    configuration eliminates again only when asked about another class,
+    and a negative m_i adds no condition.  The space is the certified
+    canonical kernel tuple of `modular_kernel` when the conditions' shape
+    passes the gate, `_modular`, and otherwise their `RowEchelon`, stopped
+    at full column rank."""
     mults = tuple(max(a, 0) for a in mults)
     key = (deg, mults)
     if cfg._echelon is None or cfg._echelon[0] != key:
-        ech = echelon(_condition_rows(deg, mults, cfg), len(monomial_exponents(cfg.n, deg)))
-        object.__setattr__(cfg, "_echelon", (key, ech))
+        rows, width = _condition_rows(deg, mults, cfg), len(monomial_exponents(cfg.n, deg))
+        space = (modular_kernel if _modular(len(rows), width) else echelon)(rows, width)
+        object.__setattr__(cfg, "_echelon", (key, space))
     return cfg._echelon[1]
+
+
+def _section_kernel(deg: int, mults: tuple, cfg: PointConfig) -> tuple:
+    """The canonical kernel basis of the conditions, from `_section_space`."""
+    space = _section_space(deg, mults, cfg)
+    return space if isinstance(space, tuple) else tuple(space.kernel())
 
 
 def _peel(k: int, mults) -> tuple:
@@ -300,15 +326,18 @@ def _dim(k: int, mults, cfg: PointConfig) -> int:
     For n >= 3 at r = n + 3 the class first walks to its chamber
     representative, whose degree is the least on the walk; then the
     degree-k forms vanishing to an order above k at a point are zero, and
-    otherwise h0 is the width less the rank."""
+    otherwise h0 is the size of the conditions' kernel, from
+    `_section_space`: the width less the rank of an exact elimination, or
+    past the gate the size of the certified modular kernel, where full
+    rank mod the first prime answers 0 with no lift."""
     if cfg.n == 2:
         return _peel(k, mults)[0]
     if cfg.r == cfg.n + 3:
         k, *mults = _walk((k, *mults), _chamber(cfg.lattice_context())[0])
     if k < 0 or max(mults) > k:
         return 0
-    ech = _section_echelon(k, mults, cfg)
-    return ech.width - ech.rank
+    space = _section_space(k, mults, cfg)
+    return len(space) if isinstance(space, tuple) else space.width - space.rank
 
 
 def h0(d: DivisorClass, cfg: PointConfig) -> int:
@@ -328,9 +357,15 @@ def h0(d: DivisorClass, cfg: PointConfig) -> int:
     and only D+ is eliminated; a negative degree answers 0 at once.  This
     holds only at r = n + 3: on P^2 with six points h0(2H - sum E_i) = 1,
     but its reflection H - E_4 - E_5 - E_6 has h0 = 0, and above n + 3
-    points D itself is eliminated, with no size bound.  The echelon slot
-    then holds D+, so `h0(D)` followed by `form_space(D)` eliminates twice
-    when D+ != D; the first elimination, D+'s, is the small one.
+    points D itself is solved, with no size bound.  Small condition
+    matrices are eliminated exactly.  Past the gate (`_modular`: at least
+    MODULAR_CELLS cells, and width - rows at most a quarter of the width)
+    the answer is the size of a kernel lifted from residues and certified
+    by an exact check (`linalg.modular_kernel`); full rank mod 2^127 - 1
+    answers 0 with no lift, and a kernel no prime certifies is eliminated
+    exactly.  The slot then holds D+, so `h0(D)`
+    followed by `form_space(D)` solves twice when D+ != D; the first time,
+    for D+, is the small one.
 
     >>> cfg = PointConfig.default(2, 5)
     >>> h0(DivisorClass(cfg.lattice_context(), (2,), (1, 1, 1, 1, 1)), cfg)
@@ -383,7 +418,7 @@ def _kernel(k: int, mults, cfg: PointConfig) -> tuple:
         if not dim:
             return ()
     if not steps:
-        return tuple(_section_echelon(k, mults, cfg).kernel())
+        return _section_kernel(k, mults, cfg)
     m, fixed = [max(a, 0) for a in mults], {(0, 0, 0): 1}
     for degree, t in steps:
         if degree == 1:  # the line through two points of the largest m_i
@@ -399,15 +434,12 @@ def _kernel(k: int, mults, cfg: PointConfig) -> tuple:
     monos = monomial_exponents(2, rest)
     if any(m):
         forms = [{g: c for g, c in zip(monos, _integer_row(v)) if c}
-                 for v in _section_echelon(rest, m, cfg).kernel()]
+                 for v in _section_kernel(rest, m, cfg)]
     else:  # no condition is left: every form of degree rest
         forms = [{g: 1} for g in monos]
-    columns = monomial_exponents(2, k)[::-1]
-    ech = RowEchelon(len(columns))
-    for form in forms:
-        form = _times(fixed, form)
-        ech.add([form.get(g, 0) for g in columns])
-    return tuple(row[::-1] for row in reversed(ech.reduced()))
+    columns = monomial_exponents(2, k)
+    products = [_times(fixed, form) for form in forms]
+    return _right_reduced([[f.get(g, 0) for g in columns] for f in products], len(columns))
 
 
 def form_space(d: DivisorClass, cfg: PointConfig) -> FormSpace:
@@ -433,10 +465,15 @@ def form_space(d: DivisorClass, cfg: PointConfig) -> FormSpace:
     The conditions' first independent columns, taken left to right, are
     their least basis; so the free columns are the greatest basis of the
     kernel's columns, taken right to left, and the canonical basis is the
-    products' reduced row echelon form on pivots chosen right to left: the
-    reduced rows of one `RowEchelon` of the reversed products.
+    products' reduced row echelon form on pivots chosen right to left,
+    `linalg._right_reduced`, the step that ends the modular kernel's lift.
 
-    For n >= 3 the class itself is eliminated, through cfg's echelon slot.
+    For n >= 3 the class itself is solved, through cfg's slot.  Either
+    route answers the same tuple: below the gate (`_modular`) an exact
+    elimination, past it the kernel `linalg.modular_kernel` lifts from
+    residues and certifies by an exact check, with an exact elimination
+    when no prime certifies one.  The nef remainder on P^2
+    takes the same gate.
 
     >>> cfg = PointConfig.default(2, 5)
     >>> fs = form_space(DivisorClass(cfg.lattice_context(), (2,), (1, 1, 1, 1, 1)), cfg)
@@ -601,7 +638,7 @@ def generation_test(d: DivisorClass, cfg: PointConfig,
     P^2 it is peeled and eliminates nothing, and for n >= 3 at r = n + 3 it
     eliminates only the state's chamber representative, while the rows
     stay in the state's own space.  An elimination goes through cfg's
-    echelon slot, which is put back after the span, or its cap; for
+    slot, which is put back after the span, or its cap; for
     n >= 3 the generators' sections eliminate there too, while on P^2 each
     is a line or the conic, peeled to degree 0 with no elimination.
 

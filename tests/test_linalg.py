@@ -1,6 +1,7 @@
 """Exact linear algebra against sympy matrices."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
@@ -9,7 +10,8 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coxforge.linalg import RowEchelon, _integer_row, echelon, nullspace, rank
+from coxforge import linalg
+from coxforge.linalg import PRIMES, RowEchelon, _integer_row, echelon, modular_kernel, nullspace, rank
 
 # a later row taking an earlier pivot column, dependent rows arriving before
 # independent ones, and the all-zero matrix
@@ -138,6 +140,7 @@ def check_against_fraction_kernel(rows, ncols):
             row[f] = -vec[c]
         reduced.append(tuple(row))
     assert ech.reduced() == reduced
+    assert modular_kernel(map(_integer_row, rows), ncols) == tuple(want)
 
 
 @settings(max_examples=150, deadline=None)
@@ -177,3 +180,82 @@ def test_echelon_rejects_rational_rows():
     with pytest.raises(TypeError):
         echelon([[1, 2], [Fraction(1, 2), 1]], 2)
     assert rank([[1, 2], [Fraction(1, 2), 1]]) == 1
+
+
+def test_primes_are_prime():
+    assert all(sympy.isprime(p) for p in PRIMES)
+    assert PRIMES[0] == 2 ** 127 - 1 and all(p.bit_length() == 61 for p in PRIMES[1:])
+
+
+def _count_modular_work(monkeypatch) -> Counter:
+    """Primes reduced and exact fallbacks inside `modular_kernel`."""
+    work = Counter()
+    kernel_mod, exact = linalg._kernel_mod, linalg.echelon
+
+    def counted_kernel_mod(rows, ncols, p):
+        work["primes"] += 1
+        return kernel_mod(rows, ncols, p)
+
+    def counted_echelon(rows, ncols):
+        work["fallbacks"] += 1
+        return exact(rows, ncols)
+
+    monkeypatch.setattr(linalg, "_kernel_mod", counted_kernel_mod)
+    monkeypatch.setattr(linalg, "echelon", counted_echelon)
+    return work
+
+
+def exact_kernel(rows, ncols):
+    return tuple(echelon(rows, ncols).kernel())
+
+
+def test_modular_kernel_rejects_a_prime_that_drops_the_rank(monkeypatch):
+    """The pivot minor of [[1, 2, 3], [1, 2, 3 + P]] is P, the first prime:
+    mod P the rows agree, so the kernel mod P has a second vector, which no
+    lift can pass the exact check; the next prime has the full rank."""
+    work = _count_modular_work(monkeypatch)
+    rows = [[1, 2, 3], [1, 2, 3 + PRIMES[0]]]
+    assert linalg._kernel_mod(rows, 3, PRIMES[0])[0] == (0,)
+    work.clear()
+    assert modular_kernel(rows, 3) == exact_kernel(rows, 3) == ((-2, 1, 0),)
+    assert work == Counter({"primes": 2})
+    # the same rank with a later pivot: P in the pivot minor again
+    rows = [[1, 0, 1, 2], [0, PRIMES[0], 1, 1]]
+    assert linalg._kernel_mod(rows, 4, PRIMES[0])[0] == (0, 2)
+    assert modular_kernel(rows, 4) == exact_kernel(rows, 4)
+
+
+def test_modular_kernel_combines_primes_by_crt(monkeypatch):
+    """-b/a with 80-bit a and b needs a modulus of at least 2a^2, about
+    2^159.5: past 2^127 - 1 alone, within its product with the next prime."""
+    work = _count_modular_work(monkeypatch)
+    a, b = 3 ** 50, 2 ** 79 - 1
+    rows = [[a, b], [2 * a, 2 * b]]
+    assert modular_kernel(rows, 2) == exact_kernel(rows, 2) == ((Fraction(-b, a), 1),)
+    assert work == Counter({"primes": 2})
+
+
+def test_modular_kernel_falls_back_past_the_prime_budget(monkeypatch):
+    """-b/a with 200-bit a and b needs a modulus of at least 2a^2, about
+    2^403.6, past the product of every prime: the rows are eliminated
+    exactly."""
+    work = _count_modular_work(monkeypatch)
+    a, b = 3 ** 127, 2 ** 200 + 1
+    assert modular_kernel([[a, b, 0], [0, 0, 1]], 3) == exact_kernel([[a, b, 0], [0, 0, 1]], 3)
+    assert work == Counter({"primes": len(PRIMES), "fallbacks": 1})
+    work.clear()
+    # full column rank mod the first prime certifies an empty kernel at once
+    assert modular_kernel([[a, b], [1, 1]], 2) == ()
+    assert work == Counter({"primes": 1})
+
+
+def test_modular_kernel_matches_exact_on_low_rank_integer_matrices():
+    rng = random.Random(59)
+    for _ in range(80):
+        nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
+        base = [[rng.randint(-99, 99) for _ in range(ncols)] for _ in range(rng.randint(0, nrows))]
+        rows = [[sum(rng.randint(-5, 5) * b[j] for b in base) for j in range(ncols)]
+                for _ in range(nrows)]
+        assert modular_kernel(rows, ncols) == exact_kernel(rows, ncols)
+    assert modular_kernel([], 2) == ((1, 0), (0, 1))
+    assert modular_kernel([[1]], 1) == ()

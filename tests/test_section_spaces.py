@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from coxforge import section_spaces
 from coxforge.blowup_divisors import enumerate_minimal, mult_lower_bound
 from coxforge.errors import CapExceeded, PreconditionError
-from coxforge.linalg import RowEchelon, echelon, rank
+from coxforge.linalg import RowEchelon, echelon, modular_kernel, rank
 from coxforge.multipoly import MultiPoly
 from coxforge.nagata_invariants import NagataParams
 from coxforge.picard_lattice import DivisorClass, anticanonical, hdeg
@@ -1053,3 +1053,55 @@ def test_form_and_point_errors_keep_their_field_and_detail():
     # vector, and along the curve
     assert mult_at_point(MultiPoly.zero(), (0, 0, 0)) == inf
     assert mult_along_curve(MultiPoly.zero(), CFG36) == inf
+
+
+def _near_square_classes(rng, n, r, dmax):
+    """Seeded classes (d, m) whose conditions fill at least half of the
+    width and at most 3,000 cells; on P^2 nef, four m_i near d/2 and the
+    rest 0 or 1, so that the peel takes no step."""
+    while True:
+        if n == 2:
+            d = rng.randint(6, dmax)
+            m = [d // 2 - rng.randint(0, 1) for _ in range(4)] + [rng.randint(0, 1) for _ in range(r - 4)]
+            rng.shuffle(m)
+            if section_spaces._peel(d, m)[2]:
+                continue
+        else:
+            d = rng.randint(3, dmax)
+            m = [rng.randint(0, rng.randint(d // 2, d)) for _ in range(r)]
+        rows, width = sum(comb(a - 1 + n, n) for a in m if a > 0), comb(d + n, n)
+        if width <= 2 * rows and rows * width <= 3000:
+            yield d, tuple(m)
+
+
+def test_modular_kernels_match_exact_elimination(monkeypatch):
+    """`modular_kernel` on the conditions of seeded classes returns the
+    exact elimination's kernel, tuple for tuple, and `form_space` and `h0`
+    answer by it past the gate: P^3 at r = 6 and 7 with d <= 6, P^4 at
+    r = 7 with d <= 4, and nef remainders on P^2, all on random
+    parameters; two pinned classes past the gate have h0 = 0 and 1."""
+    solved = Counter()
+    monkeypatch.setattr(section_spaces, "modular_kernel",
+                        lambda rows, ncols: solved.update(["modular"]) or modular_kernel(rows, ncols))
+    rng = random.Random(71)
+    seen = Counter()
+    pinned = {(3, 7): [(4, (3, 3, 3, 3, 0, 0, 0)), (4, (3, 3, 3, 3, 1, 0, 0))]}
+    for n, r, dmax in ((3, 6, 6), (3, 7, 6), (4, 7, 4), (2, 6, 9), (2, 8, 9)):
+        cfg = PointConfig.random(n, r, 100 + r)
+        classes = _near_square_classes(rng, n, r, dmax)
+        for d, m in pinned.get((n, r), []) + [next(classes) for _ in range(5)]:
+            width = len(monomial_exponents(n, d))
+            rows = section_spaces._condition_rows(d, m, cfg)
+            want = tuple(echelon(rows, width).kernel())
+            assert modular_kernel(rows, width) == want, (n, r, d, m)
+            gated = section_spaces._modular(len(rows), width)
+            if gated:  # one modular kernel answers form_space, and h0 from the slot
+                solved.clear()
+                cls = DivisorClass(cfg.lattice_context(), (d,), m)
+                assert form_space(cls, cfg).kernel == want
+                if r > n + 3:
+                    assert h0(cls, cfg) == len(want)
+                assert solved == Counter(modular=1)
+            seen[gated, min(len(want), 2)] += 1
+    # shapes on both sides of the gate, with h0 = 0, 1 and >= 2 past it
+    assert seen[True, 0] and seen[True, 1] and seen[True, 2] and seen[False, 2]

@@ -47,16 +47,21 @@ def test_section_counters_seed_1_pass_0():
 
 
 def test_high_degree_counters_seed_1_pass_0():
-    # the counts BENCH_23.json records for the high_degree workload, seed 1,
-    # pass 0: seven classes.  On P^2 two of the four peel to the nef
-    # 2H - E_1 - .. - E_4, eliminated once through the echelon slot, and the
-    # other two to degree 0; on P^3 h0 eliminates D+ and form_space D itself.
-    # Before the peeled kernels the pass read 10 and 9,461
+    # the high_degree workload, seed 1, pass 0: seven classes.  On P^2 two
+    # of the four peel to the nef 2H - E_1 - .. - E_4, eliminated once
+    # through the echelon slot, and the other two to degree 0; on P^3 h0
+    # eliminates D+ and form_space D itself.  The two P^3 classes past the
+    # section layer's gate, 54 x 56 and 40 x 35 conditions, are solved by
+    # modular kernels, each certified on the first prime.  Before them the
+    # pass read 7 eliminations and 4,820 cells (BENCH_23.json), and before
+    # the peeled kernels 10 and 9,461
     report = run_tool("high_degree")
-    assert report["pass"] == {"eliminations": 7, "condition_cells": 4820, "walks": 3,
-                              "dims": 7, "dims_without_elimination": 4}
+    assert report["pass"] == {"eliminations": 5, "condition_cells": 396, "walks": 3,
+                              "dims": 7, "dims_without_elimination": 4,
+                              "modular_kernels": 2, "primes_tried": 2, "fallbacks": 0}
     assert report["warm_up"] == {"eliminations": 2, "condition_cells": 90, "walks": 1,
-                                 "dims": 2, "dims_without_elimination": 1}
+                                 "dims": 2, "dims_without_elimination": 1,
+                                 "modular_kernels": 0, "primes_tried": 0, "fallbacks": 0}
 
 
 def test_invariant_counters_seed_1_pass_0():

@@ -8,23 +8,31 @@ one pass, in order, and prints one JSON object with the workload's counts for
 the warm-up and for the pass.
 
 generation, the section queries:
-  eliminations       calls of `linalg.echelon` from the section layer;
+  eliminations       calls of `linalg.echelon` from the section layer, the
+                     exact route;
   condition_cells    rows x width over those eliminations;
   walks              chamber walks of `h0`'s rule (r = n + 3, n >= 3 only);
   walk_reflections   simple reflections over those walks;
   dims               calls of that rule, `section_spaces._dim`, from `h0`
                      and from every span state;
   dims_without_elimination
-                     those answered with no elimination: by the peeling
-                     rule (n = 2), by the degree and multiplicity test
-                     after the walk, or by the echelon slot;
+                     those answered with no elimination or modular kernel:
+                     by the peeling rule (n = 2), by the degree and
+                     multiplicity test after the walk, or by the echelon
+                     slot;
   span_states        span states the generation tests solve (the
                      constants are not counted).
 
 high_degree, the large section spaces: eliminations, condition_cells,
   walks, dims and dims_without_elimination as for generation; here the
   eliminations come from `form_space` and `section_of` too, which on P^2
-  eliminate only the nef class left by peeling.
+  eliminate only the nef class left by peeling.  Shapes past the section
+  layer's gate take the modular route instead:
+  modular_kernels    calls of `linalg.modular_kernel` from the section layer;
+  primes_tried       primes those calls reduced their rows by;
+  fallbacks          those calls that no prime certified, answered by an
+                     exact elimination (calls of `linalg.echelon` while
+                     one runs).
 
 invariants, the determinant queries:
   determinants       calls of `build_F`;
@@ -69,6 +77,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 from coxforge import blowup_divisors as bd  # noqa: E402
+from coxforge import linalg  # noqa: E402
 from coxforge import nagata_invariants as ni  # noqa: E402
 from coxforge import root_system as rsys  # noqa: E402
 from coxforge import section_spaces as ss  # noqa: E402
@@ -103,22 +112,37 @@ def counted_walk(now: Counter, walk):
 
 
 def install_generation(now: Counter, flags: set):
-    echelon, dim = ss.echelon, ss._dim
+    echelon, dim, modular_kernel = ss.echelon, ss._dim, ss.modular_kernel
+    kernel_mod, fallback = linalg._kernel_mod, linalg.echelon
 
     def counted_echelon(rows, ncols):
         now["eliminations"] += 1
         now["condition_cells"] += len(rows) * ncols
         return echelon(rows, ncols)
 
+    def counted_modular_kernel(rows, ncols):
+        now["modular_kernels"] += 1
+        return modular_kernel(rows, ncols)
+
+    def counted_kernel_mod(rows, ncols, p):
+        now["primes_tried"] += 1
+        return kernel_mod(rows, ncols, p)
+
+    def counted_fallback(rows, ncols):
+        now["fallbacks"] += "modular" in flags
+        return fallback(rows, ncols)
+
     def counted_dim(k, mults, cfg):
-        before = now["eliminations"]
+        before = now["eliminations"] + now["modular_kernels"]
         res = dim(k, mults, cfg)
         now["dims"] += 1
-        now["dims_without_elimination"] += now["eliminations"] == before
+        now["dims_without_elimination"] += now["eliminations"] + now["modular_kernels"] == before
         now["span_states"] += "test" in flags and "h0" not in flags
         return res
 
     ss.echelon, ss._walk, ss._dim = counted_echelon, counted_walk(now, ss._walk), counted_dim
+    ss.modular_kernel = flagged(flags, "modular", counted_modular_kernel)
+    linalg._kernel_mod, linalg.echelon = counted_kernel_mod, counted_fallback
     ss.h0 = flagged(flags, "h0", ss.h0)
     ss.generation_test = flagged(flags, "test", ss.generation_test)
 
@@ -201,7 +225,8 @@ WORKLOADS = {
         "eliminations", "condition_cells", "walks", "walk_reflections",
         "dims", "dims_without_elimination", "span_states")),
     "high_degree": (install_generation, (
-        "eliminations", "condition_cells", "walks", "dims", "dims_without_elimination")),
+        "eliminations", "condition_cells", "walks", "dims", "dims_without_elimination",
+        "modular_kernels", "primes_tried", "fallbacks")),
     "invariants": (install_invariants, (
         "determinants", "determinant_terms", "derivation_pairs", "term_passes")),
     "lattice": (install_lattice, (
